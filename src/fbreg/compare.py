@@ -19,12 +19,7 @@ from . import __version__
 from .data import Dataset
 from .fitting import FitResult
 from .frbinom import pmf_batch
-from .likelihood import (
-    _zinb_loglik_vector,
-    _zip_loglik_vector,
-    link_fb,
-    per_obs_loglik,
-)
+from .likelihood import link_fb, per_obs_loglik, zinb2_logpmf, zinb_logpmf, zip_logpmf
 
 __all__ = [
     "VuongResult",
@@ -150,17 +145,8 @@ def profile_distribution(
         tail = float(max(0.0, 1.0 - fitted.sum()))
     else:
         K = dataset.N if max_count is None else int(max_count)
-        cols = []
-        for k in range(K + 1):
-            yk = np.full(n, float(k))
-            if model == "zip":
-                ll = _zip_loglik_vector(yk, X, theta)
-            elif model == "zinb":
-                ll = _zinb_loglik_vector(yk, X, theta, per_obs_theta=False)
-            else:
-                ll = _zinb_loglik_vector(yk, X, theta, per_obs_theta=True)
-            cols.append(np.exp(ll).mean())
-        fitted = np.array(cols)
+        logpmf = {"zip": zip_logpmf, "zinb": zinb_logpmf, "zinb2": zinb2_logpmf}[model]
+        fitted = np.array([np.exp(logpmf(np.full(n, k), X, theta)).mean() for k in range(K + 1)])
         tail = float(max(0.0, 1.0 - fitted.sum()))
     counts = np.bincount(dataset.y.astype(int), minlength=K + 1)[: K + 1]
     return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ class FitConfig:
     finite_difference_step: float = 1e-5
     seed: int = 0
     compute_hessian: bool = True
-    use_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -84,7 +83,6 @@ class FitConfig:
             "finite_difference_step": self.finite_difference_step,
             "seed": self.seed,
             "compute_hessian": self.compute_hessian,
-            "use_cache": self.use_cache,
         }
 
 
@@ -234,9 +232,12 @@ class FitResult:
                 return None
             return np.array([math.nan if x is None else float(x) for x in v])
 
-        cfg_doc = dict(doc.get("config") or {})
+        # keys FitConfig no longer has are dropped, such as the row-cache
+        # switch that artifacts from before its removal still carry
+        known = {f.name for f in fields(FitConfig)}
+        cfg_doc = {k: v for k, v in (doc.get("config") or {}).items() if k in known}
         cfg_doc["box"] = cfg_doc.get("box")
-        config = FitConfig(**cfg_doc) if cfg_doc else FitConfig()
+        config = FitConfig(**cfg_doc)
         hess = doc.get("hessian")
         return cls(
             model=doc["model"],
@@ -336,7 +337,7 @@ def fit(
     def objective(theta: np.ndarray) -> float:
         th = np.clip(theta, -box, box) if box is not None else theta
         counter[0] += 1
-        value = total_loglik(model, th, dataset, N=n_bound, use_cache=config.use_cache)
+        value = total_loglik(model, th, dataset, N=n_bound)
         neg = -value
         if not math.isfinite(neg):
             neg = _HUGE

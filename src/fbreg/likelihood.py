@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln, log_expit
+from scipy.special import betaln, expit, gammaln, log_expit
 
 from . import frbinom
 from .data import Dataset
@@ -116,23 +116,14 @@ def link_fb(X: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return p, H, c_circ
 
 
-def _fb_loglik_vector(
-    y: np.ndarray, X: np.ndarray, theta: np.ndarray, N: int, use_cache: bool = True
-) -> np.ndarray:
+def _fb_loglik_vector(y: np.ndarray, X: np.ndarray, theta: np.ndarray, N: int) -> np.ndarray:
     p, H, c_circ = link_fb(X, theta)
-    rows = frbinom.pmf_batch(N, p, H, c_circ, use_cache=use_cache)
+    rows = frbinom.pmf_batch(N, p, H, c_circ)
     probs = rows[np.arange(y.shape[0]), y]
-    if N <= frbinom.FAST_LANE_MAX_N:
-        # tiny fast-lane entries sit near its absolute error floor; recompute
-        # those observations' rows exactly (quantized params, cached)
-        suspect = np.nonzero(probs < 1e-8)[0]
-        if suspect.size:
-            qp = frbinom.quantize_params(np.clip(p, frbinom.LINK_EPS, 1 - frbinom.LINK_EPS))
-            qh = frbinom.quantize_params(np.clip(H, frbinom.LINK_EPS, 1 - frbinom.LINK_EPS))
-            qc = frbinom.quantize_params(np.clip(c_circ, 0.0, 1 - frbinom.LINK_EPS))
-            for i in suspect:
-                row = frbinom.pmf_row_exact(N, qp[i], qh[i], qc[i])
-                probs[i] = row[y[i]]
+    # pmf_batch's error is absolute, so tiny entries carry little relative
+    # precision; recompute those observations' rows exactly (cached)
+    for i in np.nonzero(probs < 1e-8)[0]:
+        probs[i] = frbinom.pmf_row_exact(N, p[i], H[i], c_circ[i])[y[i]]
     return np.log(np.maximum(probs, _PROB_FLOOR))
 
 
@@ -165,10 +156,12 @@ def _nb_logpmf_terms(y: np.ndarray, xb: np.ndarray, log_theta: np.ndarray) -> np
     # negative binomial with mean mu = e^xb and variance mu + mu^2/theta
     theta = np.exp(log_theta)
     log_ratio = xb - log_theta  # log(mu/theta)
+    # log C(y+theta-1, y) = -log B(theta, y) - log y for y >= 1; the gammaln
+    # difference form cancels to noise once log theta passes about 30
+    y_pos = np.maximum(y, 1.0)
+    log_coef = np.where(y >= 1.0, -betaln(theta, y_pos) - np.log(y_pos), 0.0)
     return (
-        gammaln(y + theta)
-        - gammaln(theta)
-        - gammaln(y + 1.0)
+        log_coef
         - theta * np.logaddexp(0.0, log_ratio)
         + y * (xb - np.logaddexp(log_theta, xb))
     )
@@ -219,9 +212,7 @@ def _scalar_dispatch(fn, y, x, theta):
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-def per_obs_loglik(
-    model: str, theta, dataset: Dataset, N: int | None = None, use_cache: bool = True
-) -> np.ndarray:
+def per_obs_loglik(model: str, theta, dataset: Dataset, N: int | None = None) -> np.ndarray:
     """Vector of log-probabilities, one entry per observation."""
     theta = np.asarray(theta, dtype=float)
     m = dataset.X.shape[1]
@@ -236,7 +227,7 @@ def per_obs_loglik(
             raise ValueError(
                 f"response max {int(dataset.y.max())} exceeds N={n_bound}; raise the N override"
             )
-        return _fb_loglik_vector(dataset.y, dataset.X, theta, n_bound, use_cache=use_cache)
+        return _fb_loglik_vector(dataset.y, dataset.X, theta, n_bound)
     y = dataset.y.astype(float)
     if model == "zip":
         return _zip_loglik_vector(y, dataset.X, theta)
@@ -247,8 +238,6 @@ def per_obs_loglik(
     raise ValueError(f"unknown model {model!r}")
 
 
-def total_loglik(
-    model: str, theta, dataset: Dataset, N: int | None = None, use_cache: bool = True
-) -> float:
+def total_loglik(model: str, theta, dataset: Dataset, N: int | None = None) -> float:
     """Sum of per-observation log-probabilities over the dataset."""
-    return float(np.sum(per_obs_loglik(model, theta, dataset, N=N, use_cache=use_cache)))
+    return float(np.sum(per_obs_loglik(model, theta, dataset, N=N)))

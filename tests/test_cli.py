@@ -191,6 +191,19 @@ class TestCompareCommand:
         assert rc == 4
         assert "malformed" in capsys.readouterr().err
 
+    def test_artifact_with_retired_cache_switch_loads(self, workdir, tmp_path):
+        # fit artifacts written before the pmf row cache was removed carry
+        # its on/off switch in their config
+        doc = json.loads(workdir["zip"].read_text())
+        doc["config"]["use_cache"] = True
+        older = tmp_path / "older_zip.json"
+        older.write_text(json.dumps(doc))
+        rc = main(
+            ["compare", "--input", str(workdir["csv"]), *DATASET_FLAGS,
+             "--fit", str(workdir["fb"]), "--fit", str(older)]
+        )
+        assert rc == 0
+
     def test_wrong_artifact_kind_is_usage_error(self, workdir, tmp_path, capsys):
         notfit = tmp_path / "notfit.json"
         notfit.write_text(json.dumps({"artifact": "pmf"}))

@@ -10,10 +10,10 @@ from fbreg.frbinom import (
     FbParams,
     FbParamsNatural,
     FeasibilityError,
+    LINK_EPS,
     OnesSet,
     PmfTable,
     c_max,
-    clear_row_cache,
     config_prob,
     joint_ones_prob,
     mean,
@@ -21,7 +21,6 @@ from fbreg.frbinom import (
     pmf_batch,
     pmf_bruteforce,
     pmf_row_exact,
-    quantize_params,
     sample,
     to_constrained,
     variance_asymptotic,
@@ -34,6 +33,7 @@ from conftest import grid_triples
 p_interior = st.floats(min_value=0.05, max_value=0.95)
 h_interior = st.floats(min_value=0.05, max_value=0.95)
 cc_interior = st.floats(min_value=0.0, max_value=0.99)
+unit_wide = st.floats(min_value=0.01, max_value=0.99)
 
 
 def natural(p, H, cc):
@@ -349,27 +349,6 @@ class TestSampling:
         assert np.abs(freq - table.probs).max() < 0.01
 
 
-class TestQuantize:
-    def test_known_value(self):
-        assert quantize_params(0.123456789012345) == pytest.approx(
-            0.123456789012, abs=1e-15
-        )
-
-    def test_relative_error_bound(self):
-        x = np.array([1e-12, 0.5, 0.999999999999])
-        q = quantize_params(x)
-        assert np.all(np.abs(q - x) <= 5e-12 * np.abs(x) + 1e-30)
-
-    @given(x=st.floats(min_value=1e-12, max_value=1.0, exclude_max=True))
-    @settings(max_examples=200, deadline=None)
-    def test_idempotent(self, x):
-        q = quantize_params(x)
-        assert quantize_params(q) == q
-
-    def test_zero_passthrough(self):
-        assert quantize_params(0.0) == 0.0
-
-
 class TestBatchLane:
     def test_matches_exact_row(self):
         rng = np.random.default_rng(5)
@@ -377,36 +356,63 @@ class TestBatchLane:
         H = rng.uniform(0.05, 0.95, 50)
         cc = rng.uniform(0.0, 0.99, 50)
         rows = pmf_batch(10, p, H, cc)
-        qp, qh, qc = quantize_params(p), quantize_params(H), quantize_params(cc)
         for i in range(50):
-            ref = pmf_row_exact(10, qp[i], qh[i], qc[i])
-            np.testing.assert_allclose(rows[i], ref, atol=1e-10)
+            ref = pmf_row_exact(10, p[i], H[i], cc[i])
+            np.testing.assert_allclose(rows[i], ref, atol=1e-13)
 
-    def test_cached_equals_uncached_bitwise(self):
-        rng = np.random.default_rng(9)
-        p = rng.uniform(0.1, 0.9, 80)
-        H = rng.uniform(0.1, 0.9, 80)
-        cc = rng.uniform(0.0, 0.99, 80)
-        clear_row_cache()
-        warm = pmf_batch(12, p, H, cc, use_cache=True)
-        cached = pmf_batch(12, p, H, cc, use_cache=True)
-        cold = pmf_batch(12, p, H, cc, use_cache=False)
-        np.testing.assert_array_equal(warm, cached)
-        np.testing.assert_array_equal(warm, cold)
+    # the oracle's own error doubles with each level of its superset
+    # transform and passes 1e-13 from N = 10 on at p >= 0.9
+    @given(p=unit_wide, H=unit_wide, cc=cc_interior, N=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bruteforce(self, p, H, cc, N):
+        rows = pmf_batch(N, [p], [H], [cc])
+        np.testing.assert_allclose(
+            rows[0], pmf_bruteforce(N, natural(p, H, cc)).probs, rtol=0, atol=1e-13
+        )
+
+    @given(p=unit_wide, H=unit_wide, cc=cc_interior, N=st.integers(1, 100))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_exact_route(self, p, H, cc, N):
+        rows = pmf_batch(N, [p], [H], [cc])
+        np.testing.assert_allclose(rows[0], pmf(N, natural(p, H, cc)).probs, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cc", [0.0, 0.5, 0.99])
+    def test_study_row_at_n24(self, cc):
+        rows = pmf_batch(24, [0.961], [0.074], [cc])
+        np.testing.assert_allclose(
+            rows[0], pmf(24, natural(0.961, 0.074, cc)).probs, rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("N", [5, 24, 50])
+    def test_edges_of_the_unit_cube(self, N):
+        ends = (LINK_EPS, 1.0 - LINK_EPS)
+        for p in ends:
+            for H in ends:
+                for cc in (0.0, 1.0 - LINK_EPS):
+                    rows = pmf_batch(N, [p], [H], [cc])
+                    np.testing.assert_allclose(
+                        rows[0], pmf(N, natural(p, H, cc)).probs, rtol=0, atol=1e-13
+                    )
 
     def test_batch_composition_does_not_change_rows(self):
         p = np.array([0.3, 0.6, 0.3])
         H = np.array([0.8, 0.4, 0.8])
         cc = np.array([0.5, 0.2, 0.5])
-        full = pmf_batch(10, p, H, cc, use_cache=False)
-        solo = pmf_batch(10, p[:1], H[:1], cc[:1], use_cache=False)
+        full = pmf_batch(10, p, H, cc)
+        solo = pmf_batch(10, p[:1], H[:1], cc[:1])
         np.testing.assert_array_equal(full[0], solo[0])
         np.testing.assert_array_equal(full[0], full[2])
+        rng = np.random.default_rng(12)
+        for N in (10, 50):
+            many = rng.uniform(0.05, 0.95, (3, 40))
+            rows = pmf_batch(N, *many)
+            for i in (0, 17, 39):
+                np.testing.assert_array_equal(rows[i], pmf_batch(N, *many[:, i : i + 1])[0])
 
-    def test_large_n_takes_exact_route(self):
+    def test_large_n_matches_exact_route(self):
         rows = pmf_batch(30, [0.3], [0.8], [0.5])
         assert rows.shape == (1, 31)
-        assert float(rows.sum()) == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_allclose(rows[0], pmf(30, natural(0.3, 0.8, 0.5)).probs, atol=1e-13)
 
     def test_rows_normalized_on_grid(self):
         triples = np.array(list(grid_triples()))
