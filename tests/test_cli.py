@@ -192,10 +192,11 @@ class TestCompareCommand:
         assert "malformed" in capsys.readouterr().err
 
     def test_artifact_with_retired_cache_switch_loads(self, workdir, tmp_path):
-        # fit artifacts written before the pmf row cache was removed carry
-        # its on/off switch in their config
+        # fit artifacts written before the pmf row cache and the simplex
+        # warm start were removed carry their settings in their config
         doc = json.loads(workdir["zip"].read_text())
         doc["config"]["use_cache"] = True
+        doc["config"]["parameter_tolerance"] = 1e-6
         older = tmp_path / "older_zip.json"
         older.write_text(json.dumps(doc))
         rc = main(

@@ -167,6 +167,16 @@ class TestFitZip:
         assert a.n_evaluations == b.n_evaluations
         assert np.array_equal(a.std_errors, b.std_errors)
 
+    def test_start_reports_count_evaluations(self):
+        rng = np.random.default_rng(5)
+        X, y = simulate_zip(rng, 120, np.array([0.2, 0.5]), np.array([-0.5, 0.3]))
+        res = fit("zip", make_dataset(y, X), FitConfig(n_starts=3, seed=2))
+        starts = res.diagnostics["starts"]
+        assert [r["start"] for r in starts] == [0, 1, 2]
+        assert all(r["evaluations"] > 0 for r in starts)
+        assert all(isinstance(r["message"], str) and r["message"] for r in starts)
+        assert sum(r["evaluations"] for r in starts) <= res.n_evaluations
+
     def test_box_constrains_all_coordinates(self):
         rng = np.random.default_rng(4)
         X, y = simulate_zip(rng, 100, np.array([0.2, 0.1]), np.array([-3.5, 0.0]))
@@ -176,25 +186,38 @@ class TestFitZip:
 
 
 class TestFitFb:
-    def test_recovers_generating_coefficients(self):
+    THETA_TRUE = np.array([-0.5, 0.8, 1.5, 0.5, 0.0, -0.5])
+
+    def _dataset(self):
         rng = np.random.default_rng(11)
         n, N = 200, 8
         x = rng.uniform(-2, 2, n)
         X = np.column_stack([np.ones(n), x])
-        theta_true = np.array([-0.5, 0.8, 1.5, 0.5, 0.0, -0.5])
-        p, H, cc = link_fb(X, theta_true)
+        p, H, cc = link_fb(X, self.THETA_TRUE)
         rows = pmf_batch(N, p, H, cc)
         u = rng.uniform(size=n)
         y = np.minimum((np.cumsum(rows, axis=1) < u[:, None]).sum(axis=1), N)
-        ds = make_dataset(y.astype(float), X, names=("intercept", "x"), N=N)
-        res = fit("fb", ds, FitConfig(n_starts=1, box=5.0, seed=1))
+        return make_dataset(y.astype(float), X, names=("intercept", "x"), N=N)
+
+    def test_recovers_generating_coefficients(self):
+        res = fit("fb", self._dataset(), FitConfig(n_starts=1, box=5.0, seed=1))
         assert res.converged
-        assert res.N == N
+        assert res.N == 8
         # mean-structure coefficients are tightly identified; dependence
         # coefficients less so at n=200, allow wide but bounded error
-        err = np.abs(res.coefficients.values - theta_true)
+        err = np.abs(res.coefficients.values - self.THETA_TRUE)
         assert np.all(err[:2] < 0.5)
         assert np.all(err < 2.5)
+
+    def test_evaluation_budget(self):
+        # one L-BFGS-B run plus the polish takes about 500 evaluations; a
+        # simplex warm start in front of it would take about 1,700
+        res = fit(
+            "fb",
+            self._dataset(),
+            FitConfig(n_starts=1, box=5.0, seed=1, compute_hessian=False),
+        )
+        assert res.n_evaluations <= 800
 
     def test_all_zero_responses_hit_boundary(self):
         n = 50
@@ -207,6 +230,28 @@ class TestFitFb:
         assert -0.5 < res.loglik < 0.0
         assert "psi:intercept" in res.diagnostics["boundary"]
         assert any("boundary" in w for w in res.diagnostics["warnings"])
+
+
+class TestFitZinb2:
+    def test_unboxed_starts_agree(self):
+        # two-level factor x four-valued dose, covariate-dependent dispersion
+        rng = np.random.default_rng(1)
+        n = 240
+        X = np.column_stack(
+            [np.ones(n), rng.integers(0, 2, n), rng.choice([0.5, 1.0, 2.0, 4.0], n)]
+        )
+        mu = np.exp(X @ np.array([0.8, 0.3, 0.2]))
+        pi = 1.0 / (1.0 + np.exp(-(X @ np.array([-1.0, 0.5, 0.0]))))
+        theta = np.exp(X @ np.array([0.5, 0.0, 0.2]))
+        y = rng.poisson(rng.gamma(theta, mu / theta))
+        y = np.where(rng.uniform(size=n) < pi, 0, y).astype(float)
+        ds = make_dataset(y, X, names=("intercept", "level", "dose"))
+        res = fit("zinb2", ds, FitConfig(n_starts=3, seed=0))
+        assert res.converged
+        starts = res.diagnostics["starts"]
+        assert len(starts) == 3
+        for report in starts:
+            assert report["loglik"] == pytest.approx(res.loglik, abs=1e-6)
 
 
 class TestReferenceLevelInvariance:
