@@ -24,7 +24,8 @@ from .frbinom import (
     variance_exact,
 )
 from .data import ColumnSpec, DataError, Dataset, RankDeficiencyError, load_csv
-from .likelihood import CoefVector, MODELS, coef_dim, link_fb, per_obs_loglik, total_loglik
+from .likelihood import CoefVector, MODELS, coef_dim, link_fb, loglik_and_score
+from .likelihood import per_obs_loglik, total_loglik
 from .fitting import FitConfig, FitError, FitResult, fit, wald_inference
 from .compare import (
     VuongResult,
@@ -67,6 +68,7 @@ __all__ = [
     "joint_ones_prob",
     "link_fb",
     "load_csv",
+    "loglik_and_score",
     "mean",
     "per_obs_loglik",
     "pmf",

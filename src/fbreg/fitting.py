@@ -1,10 +1,12 @@
 """Numerical maximum-likelihood fitting in the unconstrained coefficient space.
 
-Strategy: one L-BFGS-B run per start with central-difference gradients, then
-a few Newton steps from the best start.  An optional symmetric box [-B, B]^d
-is passed to L-BFGS-B as bounds; convergence is judged by the projected
-gradient norm against gradient_tolerance * sqrt(d).  Multi-start is
-sequential and fully deterministic given the seed.
+Strategy: one L-BFGS-B run per start on the analytic score
+(``likelihood.loglik_and_score``, one fused value-and-score call per step),
+then a few Newton steps from the best start.  The Newton steps and the final
+observed information use central differences of the score.  An optional
+symmetric box [-B, B]^d is passed to L-BFGS-B as bounds; convergence is
+judged by the projected gradient norm against gradient_tolerance * sqrt(d).
+Multi-start is sequential and fully deterministic given the seed.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from scipy.special import erfc
 
 from . import __version__
 from .data import Dataset
-from .likelihood import CoefVector, MODELS, coef_dim, total_loglik
+from .likelihood import CoefVector, MODELS, coef_dim, loglik_and_score, total_loglik
 
 __all__ = [
     "FitConfig",
@@ -46,6 +48,9 @@ class FitConfig:
     (simulation protocol); None leaves the space unconstrained (data
     analysis).  The first start is always the zero vector; remaining starts
     are drawn uniformly from [-start_scale, start_scale]^d.
+    finite_difference_step sets the per-coordinate step
+    finite_difference_step * (1 + |theta_i|) of the score differences behind
+    the Newton polish and the observed information.
     """
 
     max_iterations: int = 2000
@@ -154,10 +159,10 @@ def numerical_hessian(f: Callable, theta, step: float = 1e-3) -> np.ndarray:
 class FitResult:
     """Outcome of one maximum-likelihood fit.
 
-    hessian holds second differences of the negative log-likelihood at the
-    optimum (the observed information); std_errors/z_stats/p_values are filled
-    by wald_inference and contain NaN where the information matrix is not
-    positive definite.
+    hessian holds symmetrized central differences of the negative score at
+    the optimum (the observed information); std_errors/z_stats/p_values are
+    filled by wald_inference and contain NaN where the information matrix is
+    not positive definite.
     """
 
     model: str
@@ -291,18 +296,17 @@ class FitResult:
         return "\n".join(lines)
 
 
-def _projected_gradient(grad: np.ndarray, theta: np.ndarray, box: float | None) -> np.ndarray:
-    if box is None:
-        return grad
-    out = grad.copy()
-    eps = 1e-9 * (1.0 + box)
-    at_low = theta <= -box + eps
-    at_high = theta >= box - eps
+def _pinned(grad: np.ndarray, theta: np.ndarray, box: float | None) -> np.ndarray:
     # minimizing: at an active bound, an outward-pointing descent direction is
     # inadmissible, so that component does not count against convergence
-    out[at_low & (grad > 0)] = 0.0
-    out[at_high & (grad < 0)] = 0.0
-    return out
+    if box is None:
+        return np.zeros(grad.shape, dtype=bool)
+    eps = 1e-9 * (1.0 + box)
+    return ((theta <= -box + eps) & (grad > 0)) | ((theta >= box - eps) & (grad < 0))
+
+
+def _projected_gradient(grad: np.ndarray, theta: np.ndarray, box: float | None) -> np.ndarray:
+    return np.where(_pinned(grad, theta, box), 0.0, grad)
 
 
 def fit(
@@ -327,21 +331,52 @@ def fit(
     n_bound = dataset.N if N is None else int(N)
     box = config.box
 
-    counter = [0]
+    counts = {"evaluations": 0, "score_calls": 0}
 
-    def objective(theta: np.ndarray) -> float:
-        th = np.clip(theta, -box, box) if box is not None else theta
-        counter[0] += 1
-        value = total_loglik(model, th, dataset, N=n_bound)
-        neg = -value
-        if not math.isfinite(neg):
-            neg = _HUGE
+    def clip(theta: np.ndarray) -> np.ndarray:
+        return np.clip(theta, -box, box) if box is not None else theta
+
+    def record(th: np.ndarray, neg: float) -> None:
+        counts["evaluations"] += 1
         if eval_callback is not None:
             eval_callback(np.array(th, dtype=float), -neg)
+
+    def objective(theta: np.ndarray) -> float:
+        th = clip(theta)
+        neg = -total_loglik(model, th, dataset, N=n_bound)
+        neg = neg if math.isfinite(neg) else _HUGE
+        record(th, neg)
         return neg
 
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        return numerical_gradient(objective, theta, step=config.finite_difference_step)
+    def objective_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        th = clip(theta)
+        counts["score_calls"] += 1
+        value, score = loglik_and_score(model, th, dataset, N=n_bound)
+        if math.isfinite(value) and np.all(np.isfinite(score)):
+            neg, grad = -value, -score
+        else:
+            # a flat, huge trial point makes the line search back off
+            neg, grad = _HUGE, np.zeros(d)
+        record(th, neg)
+        return neg, grad
+
+    def gradient(x: np.ndarray) -> np.ndarray:
+        neg, grad = objective_and_gradient(x)
+        if neg >= _HUGE:
+            raise ArithmeticError("non-finite log-likelihood or score")
+        return grad
+
+    def score_hessian(x: np.ndarray) -> np.ndarray:
+        # column j: central difference of the gradient along coordinate j,
+        # over the distance between the probes after the box clipped them
+        cols = []
+        for j in range(d):
+            step = np.zeros(d)
+            step[j] = config.finite_difference_step * (1.0 + abs(x[j]))
+            up, down = clip(x + step), clip(x - step)
+            cols.append((gradient(up) - gradient(down)) / (up[j] - down[j]))
+        hess = np.column_stack(cols)
+        return 0.5 * (hess + hess.T)
 
     rng = np.random.default_rng(config.seed)
     starts = [np.zeros(d)]
@@ -352,12 +387,12 @@ def fit(
     start_reports = []
     for s_idx, theta0 in enumerate(starts):
         # L-BFGS-B clips theta0 into the bounds and keeps every iterate there
-        evals_before = counter[0]
+        before = dict(counts)
         res = optimize.minimize(
-            objective,
+            objective_and_gradient,
             theta0,
             method="L-BFGS-B",
-            jac=gradient,
+            jac=True,
             bounds=None if box is None else [(-box, box)] * d,
             options={"maxiter": config.max_iterations, "ftol": 1e-12, "gtol": 1e-9},
         )
@@ -365,7 +400,8 @@ def fit(
         report = {
             "start": s_idx,
             "loglik": -fun if fun < _HUGE else None,
-            "evaluations": counter[0] - evals_before,
+            "evaluations": counts["evaluations"] - before["evaluations"],
+            "score_calls": counts["score_calls"] - before["score_calls"],
             "message": str(res.message),
         }
         start_reports.append(report)
@@ -382,35 +418,28 @@ def fit(
     # the polish, 3 of the 12 default fits (four models, three seeds) on a
     # 540-row design with 8 covariate patterns ended above
     # gradient_tolerance * sqrt(d), even with ftol at 1e-15.  A few Newton
-    # steps off the second-difference Hessian close that gap.
+    # steps off the score-difference Hessian close that gap.
     tol = config.gradient_tolerance * math.sqrt(d)
     x_hat, fun = best["x"], best["fun"]
 
     def grad_and_norm(x):
-        g = gradient(x)
+        try:
+            g = gradient(x)
+        except ArithmeticError:
+            return None, math.inf
         return g, float(np.linalg.norm(_projected_gradient(g, x, box)))
 
-    try:
-        grad_here, gnorm = grad_and_norm(x_hat)
-    except ArithmeticError:
-        grad_here, gnorm = None, math.inf
+    grad_here, gnorm = grad_and_norm(x_hat)
     polish_steps = 0
     for _ in range(3):
         if grad_here is None or gnorm < tol:
             break
         # coordinates pinned at an active bound stay put; Newton runs on the rest
-        if box is not None:
-            eps = 1e-9 * (1.0 + box)
-            pinned = ((x_hat <= -box + eps) & (grad_here > 0)) | (
-                (x_hat >= box - eps) & (grad_here < 0)
-            )
-        else:
-            pinned = np.zeros(d, dtype=bool)
-        free = ~pinned
+        free = ~_pinned(grad_here, x_hat, box)
         if not np.any(free):
             break
         try:
-            hess_polish = numerical_hessian(objective, x_hat, step=1e-3)
+            hess_polish = score_hessian(x_hat)
             sub = hess_polish[np.ix_(free, free)]
             delta_free = np.linalg.solve(sub, -grad_here[free])
         except (ArithmeticError, np.linalg.LinAlgError):
@@ -419,17 +448,13 @@ def fit(
             break
         delta = np.zeros(d)
         delta[free] = delta_free
-        cand = np.clip(x_hat + delta, -box, box) if box is not None else x_hat + delta
+        cand = clip(x_hat + delta)
         f_cand = objective(cand)
         if not math.isfinite(f_cand) or f_cand > fun + 1e-9 * (1.0 + abs(fun)):
             break
         x_hat, fun = cand, min(fun, f_cand)
         polish_steps += 1
-        try:
-            grad_here, gnorm = grad_and_norm(x_hat)
-        except ArithmeticError:
-            grad_here, gnorm = None, math.inf
-            break
+        grad_here, gnorm = grad_and_norm(x_hat)
     converged = gnorm < tol
     diag_warnings: list[str] = []
     boundary: list[str] = []
@@ -446,7 +471,7 @@ def fit(
     hessian = None
     if config.compute_hessian:
         try:
-            hessian = numerical_hessian(objective, x_hat, step=1e-3)
+            hessian = score_hessian(x_hat)
         except ArithmeticError as exc:
             diag_warnings.append(f"hessian unavailable: {exc}")
 
@@ -457,7 +482,7 @@ def fit(
         converged=bool(converged),
         n=dataset.n,
         N=n_bound if model == "fb" else None,
-        n_evaluations=counter[0],
+        n_evaluations=counts["evaluations"],
         column_names=dataset.column_names,
         has_intercept=dataset.has_intercept,
         dataset_digest=dataset.digest(),
@@ -469,6 +494,7 @@ def fit(
             "boundary": boundary,
             "projected_gradient_norm": gnorm,
             "newton_polish_steps": polish_steps,
+            "score_calls": counts["score_calls"],
         },
     )
     if config.compute_hessian:

@@ -469,7 +469,7 @@ def pmf_row_exact(N: int, p: float, H: float, c_circ: float) -> np.ndarray:
     return np.asarray(probs, dtype=float)
 
 
-def _pgf_rows(N: int, p: np.ndarray, H: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _pgf_rows(N: int, p: np.ndarray, H: np.ndarray, c: np.ndarray, tangents: bool) -> np.ndarray:
     """Raw pmf rows for G natural triples, by inverting the pgf with one FFT.
 
     The pgf is phi(s) = E[s**B_N] = 1 + sum_j g(j), where g(j) sums
@@ -482,21 +482,49 @@ def _pgf_rows(N: int, p: np.ndarray, H: np.ndarray, c: np.ndarray) -> np.ndarray
     sums of all later positions as soon as it is known; the recursion uses
     elementwise operations only, so a row's bits do not depend on the batch
     it is computed in.
+
+    Returns shape (G, lanes, N+1) with the rows in lane 0; tangents adds
+    lanes 1-3, d/dp, d/dH and d/dc carried forward through the recursion
+    (dg(j) = (s-1) * d inner[j]; each push adds w * dg + dw * g).
     """
     # rfft length: phi at the remaining roots of unity is the conjugate
     M = (N + 1) // 2 + 1
     s_minus_1 = np.exp(-2j * np.pi * np.arange(M) / (N + 1)) - 1.0
     d = np.arange(1, N, dtype=float)[:, None]
-    w = (p + c * d ** (2.0 * H - 2.0))[:, :, None]  # (N-1, G, 1), w[d-1] = w(d)
+    d_pow = d ** (2.0 * H - 2.0)
+    # (N-1, G, 1, 1), w[d-1] = w(d); cast once rather than in every product
+    w = (p + c * d_pow)[:, :, None, None].astype(complex)
+    # lane 0 is the primal, lanes 1-3 its derivatives in p, H and c;
     # inner[j] = p + sum_{i<j} g(i) * w(j-i), filled in as the g(i) arrive
-    inner = np.zeros((N, p.shape[0], M), dtype=complex)
-    inner += p[:, None]
-    phi = np.ones((p.shape[0], M), dtype=complex)
+    lanes = 4 if tangents else 1
+    inner = np.zeros((N, p.shape[0], lanes, M), dtype=complex)
+    inner[:, :, 0] += p[:, None]
+    phi = np.zeros((p.shape[0], lanes, M), dtype=complex)
+    phi[:, 0] = 1.0
+    if tangents:
+        inner[:, :, 1] = 1.0
+        # dw/dp = 1, dw/dH = 2 c ln(d) d**(2H-2), dw/dc = d**(2H-2)
+        dw = np.stack([np.ones_like(d_pow), 2.0 * c * np.log(d) * d_pow, d_pow], axis=-1)
+        dw = dw[..., None].astype(complex)
     for j in range(N):
         g = s_minus_1 * inner[j]
         phi += g
         inner[j + 1 :] += w[: N - 1 - j] * g
+        if tangents:
+            inner[j + 1 :, :, 1:] += dw[: N - 1 - j] * g[:, :1]
     return np.fft.irfft(phi, n=N + 1, axis=-1)
+
+
+def _unique_triples(p: np.ndarray, H: np.ndarray, c_circ: np.ndarray):
+    """Distinct (p, H, c_circ) rows and the inverse map, as np.unique(axis=0)
+    gives them, without its row-wise sort of a structured view."""
+    order = np.lexsort((c_circ, H, p))
+    sp, sh, sc = p[order], H[order], c_circ[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (sp[1:] != sp[:-1]) | (sh[1:] != sh[:-1]) | (sc[1:] != sc[:-1])
+    inv = np.empty(order.shape[0], dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return sp[first], sh[first], sc[first], inv
 
 
 def pmf_batch(N: int, p, H, c_circ) -> np.ndarray:
@@ -508,23 +536,51 @@ def pmf_batch(N: int, p, H, c_circ) -> np.ndarray:
     ``pmf`` within about 1e-14 entrywise up to N = 100, on every platform,
     and are bitwise independent of the batch they are computed in.
     """
+    return _pmf_rows(N, p, H, c_circ, tangents=False)
+
+
+def _pmf_rows(N: int, p, H, c_circ, tangents: bool):
+    """``pmf_batch``, and with tangents the pair (rows, drows).
+
+    drows, of shape (3, n, N+1), holds d rows / d p, d H and d c_circ in the
+    linked parameters, chained through c = c_circ * c_max(p, H).  Clamped
+    entries and inputs outside the clip ranges get a zero tangent.
+    """
     N = int(N)
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    p = np.clip(np.asarray(p, dtype=float), LINK_EPS, 1.0 - LINK_EPS)
-    H = np.clip(np.asarray(H, dtype=float), LINK_EPS, 1.0 - LINK_EPS)
-    c_circ = np.clip(np.asarray(c_circ, dtype=float), 0.0, 1.0 - LINK_EPS)
-    triples = np.column_stack([np.atleast_1d(p), np.atleast_1d(H), np.atleast_1d(c_circ)])
-    uniq, inv = np.unique(triples, axis=0, return_inverse=True)
-    up, uh = uniq[:, 0], uniq[:, 1]
-    c = uniq[:, 2] * c_max(up, uh)
-
-    rows = np.empty((uniq.shape[0], N + 1), dtype=float)
-    # keeps the (N, rows, N/2) complex work array near 8 MB
-    chunk = max(1, (1 << 20) // (N * N))
-    for lo in range(0, uniq.shape[0], chunk):
+    raw = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (p, H, c_circ)]
+    linked = [np.clip(v, lo, 1.0 - LINK_EPS) for v, lo in zip(raw, (LINK_EPS, LINK_EPS, 0.0))]
+    up, uh, uc, inv = _unique_triples(*linked)
+    bound = c_max(up, uh)
+    c = uc * bound
+    lanes = 4 if tangents else 1
+    out = np.empty((lanes, up.shape[0], N + 1), dtype=float)
+    # keeps the (N, rows, lanes, N/2) complex work array near 8 MB
+    chunk = max(1, (1 << 20) // (N * N * lanes))
+    for lo in range(0, up.shape[0], chunk):
         part = slice(lo, lo + chunk)
-        rows[part] = _pgf_rows(N, up[part], uh[part], c[part])
-    rows = np.where(rows < 0.0, 0.0, rows)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return rows[inv]
+        out[:, part] = _pgf_rows(N, up[part], uh[part], c[part], tangents).transpose(1, 0, 2)
+    clamped = out[0] < 0.0
+    rows = np.where(clamped, 0.0, out[0])
+    total = rows.sum(axis=1, keepdims=True)
+    rows /= total
+    if not tangents:
+        return rows[inv]
+    # c_max = min(1 - p, (-2p + a + root)/2), a = 2^(2H-2), root = sqrt(4p -
+    # 4pa + a^2); the root branch is at most 1 - p whenever p <= 1, so it binds
+    a = np.exp2(2.0 * uh - 2.0)
+    root = np.sqrt(4.0 * up - 4.0 * up * a + a * a)
+    dbound_dp = -1.0 + (1.0 - a) / root
+    dbound_dh = math.log(2.0) * a * (1.0 + (a - 2.0 * up) / root)
+    d_c = out[3]
+    drows = np.stack([
+        out[1] + d_c * (uc * dbound_dp)[:, None],
+        out[2] + d_c * (uc * dbound_dh)[:, None],
+        d_c * bound[:, None],
+    ])
+    drows = np.where(clamped, 0.0, drows)
+    drows = ((drows - rows * drows.sum(axis=-1, keepdims=True)) / total)[:, inv]
+    for k in range(3):
+        drows[k, raw[k] != linked[k]] = 0.0
+    return rows[inv], drows

@@ -14,10 +14,11 @@ Parameter packing per design with m columns:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, expit, gammaln, log_expit
+from scipy.special import expit, gammaln, log_expit
 
 from . import frbinom
 from .data import Dataset
@@ -28,6 +29,7 @@ __all__ = [
     "coef_dim",
     "fb_logpmf",
     "link_fb",
+    "loglik_and_score",
     "per_obs_loglik",
     "total_loglik",
     "zinb2_logpmf",
@@ -116,15 +118,48 @@ def link_fb(X: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return p, H, c_circ
 
 
-def _fb_loglik_vector(y: np.ndarray, X: np.ndarray, theta: np.ndarray, N: int) -> np.ndarray:
+def _link_slope(v: np.ndarray) -> np.ndarray:
+    # d v / d eta of _linked_unit: v (1 - v), and 0 where the clip holds v flat
+    eps = frbinom.LINK_EPS
+    return np.where((v > eps) & (v < 1.0 - eps), v * (1.0 - v), 0.0)
+
+
+def _tail_dlog(N: int, y: int, linked: tuple[float, float, float]) -> np.ndarray:
+    """d log P(y) / d (p, H, c_circ) by central differences of the exact row."""
+    out = np.empty(3)
+    for k, v in enumerate(linked):
+        up, down = list(linked), list(linked)
+        # a logit step of 1e-5, floored near 1, where v is spaced 1e-16 apart
+        h = 1e-5 * v * max(1.0 - v, 1e-8)
+        up[k], down[k] = v + h, v - h
+        logs = [math.log(max(frbinom.pmf_row_exact(N, *at)[y], _PROB_FLOOR)) for at in (up, down)]
+        out[k] = (logs[0] - logs[1]) / (up[k] - down[k])
+    return out
+
+
+def _fb_loglik_vector(y: np.ndarray, X: np.ndarray, theta: np.ndarray, N: int, slopes=False):
+    """log P per observation; slopes adds d log P / d (psi, eta, nu), (n, 3)."""
     p, H, c_circ = link_fb(X, theta)
-    rows = frbinom.pmf_batch(N, p, H, c_circ)
-    probs = rows[np.arange(y.shape[0]), y]
+    if slopes:
+        rows, drows = frbinom._pmf_rows(N, p, H, c_circ, tangents=True)
+    else:
+        rows = frbinom.pmf_batch(N, p, H, c_circ)
+    obs = np.arange(y.shape[0])
+    probs = rows[obs, y]
+    if slopes:
+        dlog = drows[:, obs, y] / np.where(probs > 0.0, probs, 1.0)
     # pmf_batch's error is absolute, so tiny entries carry little relative
     # precision; recompute those observations' rows exactly (cached)
     for i in np.nonzero(probs < 1e-8)[0]:
-        probs[i] = frbinom.pmf_row_exact(N, p[i], H[i], c_circ[i])[y[i]]
-    return np.log(np.maximum(probs, _PROB_FLOOR))
+        linked = (p[i], H[i], c_circ[i])
+        probs[i] = frbinom.pmf_row_exact(N, *linked)[y[i]]
+        if slopes:
+            # on the floor log P is flat
+            dlog[:, i] = _tail_dlog(N, y[i], linked) if probs[i] >= _PROB_FLOOR else 0.0
+    ll = np.log(np.maximum(probs, _PROB_FLOOR))
+    if not slopes:
+        return ll
+    return ll, dlog.T * np.column_stack([_link_slope(v) for v in (p, H, c_circ)])
 
 
 def fb_logpmf(y, x, theta, N: int) -> float:
@@ -152,18 +187,30 @@ def _zip_loglik_vector(y: np.ndarray, X: np.ndarray, theta: np.ndarray) -> np.nd
     return np.where(y == 0, zero_branch, pos_branch)
 
 
+def _sum_below(y: np.ndarray, ratio: np.ndarray, term) -> np.ndarray:
+    # sum_{k<y} term(k * ratio), elementwise over the integer counts y; k
+    # runs in blocks that keep the (n, block) work array near 2 MB
+    out = np.zeros(y.shape)
+    top = int(y.max(initial=0.0))
+    block = max(1, (1 << 18) // max(1, y.shape[0]))
+    for lo in range(0, top, block):
+        k = np.arange(lo, min(top, lo + block), dtype=float)
+        out += np.where(k < y[:, None], term(k * ratio[:, None]), 0.0).sum(axis=1)
+    return out
+
+
 def _nb_logpmf_terms(y: np.ndarray, xb: np.ndarray, log_theta: np.ndarray) -> np.ndarray:
-    # negative binomial with mean mu = e^xb and variance mu + mu^2/theta
-    theta = np.exp(log_theta)
-    log_ratio = xb - log_theta  # log(mu/theta)
-    # log C(y+theta-1, y) = -log B(theta, y) - log y for y >= 1; the gammaln
-    # difference form cancels to noise once log theta passes about 30
-    y_pos = np.maximum(y, 1.0)
-    log_coef = np.where(y >= 1.0, -betaln(theta, y_pos) - np.log(y_pos), 0.0)
+    # negative binomial with mean mu = e^xb and variance mu + mu^2/theta:
+    # log C(y+theta-1, y) + theta log(theta/(theta+mu)) + y log(mu/(theta+mu))
+    #   = sum_{k<y} log1p(k/theta) - log y! + y xb - (theta + y) log1p(mu/theta).
+    # The gammaln and betaln differences cancel to noise at large theta;
+    # this sum does not.
+    log_rise = _sum_below(y, np.exp(-log_theta), np.log1p)
     return (
-        log_coef
-        - theta * np.logaddexp(0.0, log_ratio)
-        + y * (xb - np.logaddexp(log_theta, xb))
+        log_rise
+        - gammaln(y + 1.0)
+        + y * xb
+        - (np.exp(log_theta) + y) * np.logaddexp(0.0, xb - log_theta)
     )
 
 
@@ -182,6 +229,39 @@ def _zinb_loglik_vector(
     zero_branch = np.logaddexp(log_expit(g), log_expit(-g) + nb_zero)
     pos_branch = log_expit(-g) + nb
     return np.where(y == 0, zero_branch, pos_branch)
+
+
+def _predictor_slope(eta: np.ndarray) -> np.ndarray:
+    # 1 where _clip_predictor passes eta through, 0 where it holds it flat
+    return (np.abs(eta) <= _PRED_CLIP).astype(float)
+
+
+def _baseline_slopes(model, y, X, theta, ll) -> np.ndarray:
+    """d ll / d (count, zero-inflation[, dispersion]) predictor per observation,
+    given ll, the log mass at theta.  y = 0 splits by the posterior weight
+    r = pi / P(0) of a structural zero."""
+    m = X.shape[1]
+    raw = [X @ theta[:m], X @ theta[m : 2 * m]]
+    xb, g = (_clip_predictor(v) for v in raw)
+    mu = np.exp(xb)
+    pi = expit(g)
+    r = np.exp(np.where(y == 0, log_expit(g) - ll, -np.inf))
+    count_weight = np.where(y == 0, 1.0 - r, 1.0)
+    if model == "zip":
+        cols = [count_weight * (y - mu), r - pi]
+    else:
+        raw.append(X @ theta[2 * m :] if model == "zinb2" else np.full(y.shape, theta[2 * m]))
+        log_theta = _clip_predictor(raw[2])
+        shrink = expit(log_theta - xb)  # theta / (theta + mu)
+        # theta (psi(y + theta) - psi(theta)) = sum_{k<y} theta/(theta + k);
+        # the digamma difference cancels once theta is large next to y
+        d_log_theta = (
+            _sum_below(y, np.exp(-log_theta), lambda t: 1.0 / (1.0 + t))
+            - np.exp(log_theta) * np.logaddexp(0.0, xb - log_theta)
+            + (mu - y) * shrink
+        )
+        cols = [count_weight * (y - mu) * shrink, r - pi, count_weight * d_log_theta]
+    return np.column_stack(cols) * np.column_stack([_predictor_slope(v) for v in raw])
 
 
 def zip_logpmf(y, x, theta) -> float:
@@ -212,8 +292,8 @@ def _scalar_dispatch(fn, y, x, theta):
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-def per_obs_loglik(model: str, theta, dataset: Dataset, N: int | None = None) -> np.ndarray:
-    """Vector of log-probabilities, one entry per observation."""
+def _checked(model: str, theta, dataset: Dataset, N: int | None):
+    """theta as a float vector of the model's length, and the fb bound N."""
     theta = np.asarray(theta, dtype=float)
     m = dataset.X.shape[1]
     expected = coef_dim(model, m)
@@ -221,12 +301,18 @@ def per_obs_loglik(model: str, theta, dataset: Dataset, N: int | None = None) ->
         raise ValueError(
             f"model {model!r} with m={m} needs {expected} coefficients, got {theta.shape}"
         )
+    n_bound = dataset.N if N is None else int(N)
+    if model == "fb" and int(dataset.y.max()) > n_bound:
+        raise ValueError(
+            f"response max {int(dataset.y.max())} exceeds N={n_bound}; raise the N override"
+        )
+    return theta, n_bound
+
+
+def per_obs_loglik(model: str, theta, dataset: Dataset, N: int | None = None) -> np.ndarray:
+    """Vector of log-probabilities, one entry per observation."""
+    theta, n_bound = _checked(model, theta, dataset, N)
     if model == "fb":
-        n_bound = dataset.N if N is None else int(N)
-        if int(dataset.y.max()) > n_bound:
-            raise ValueError(
-                f"response max {int(dataset.y.max())} exceeds N={n_bound}; raise the N override"
-            )
         return _fb_loglik_vector(dataset.y, dataset.X, theta, n_bound)
     y = dataset.y.astype(float)
     if model == "zip":
@@ -241,3 +327,32 @@ def per_obs_loglik(model: str, theta, dataset: Dataset, N: int | None = None) ->
 def total_loglik(model: str, theta, dataset: Dataset, N: int | None = None) -> float:
     """Sum of per-observation log-probabilities over the dataset."""
     return float(np.sum(per_obs_loglik(model, theta, dataset, N=N)))
+
+
+def loglik_and_score(
+    model: str, theta, dataset: Dataset, N: int | None = None
+) -> tuple[float, np.ndarray]:
+    """total_loglik, bit for bit, and its gradient in theta from one pass.
+
+    fb chains forward-mode tangents of the pgf recursion through c_max and
+    the logistic links (central differences of the exact row on the tail
+    route); zip, zinb and zinb2 use closed forms.  Where a clip holds a
+    predictor (at +-700) or a linked value (at LINK_EPS) flat, the score is 0.
+    """
+    theta, n_bound = _checked(model, theta, dataset, N)
+    X = dataset.X
+    if model == "fb":
+        ll, slopes = _fb_loglik_vector(dataset.y, X, theta, n_bound, slopes=True)
+    else:
+        y = dataset.y.astype(float)
+        if model == "zip":
+            ll = _zip_loglik_vector(y, X, theta)
+        else:
+            ll = _zinb_loglik_vector(y, X, theta, per_obs_theta=model == "zinb2")
+        slopes = _baseline_slopes(model, y, X, theta, ll)
+    if model == "zinb":
+        # the scalar dispersion is shared by every observation
+        score = np.append((X.T @ slopes[:, :2]).T.ravel(), slopes[:, 2].sum())
+    else:
+        score = (X.T @ slopes).T.ravel()
+    return float(np.sum(ll)), score

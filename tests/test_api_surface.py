@@ -11,7 +11,7 @@ def test_layers_reachable_from_root():
     for name in (
         "pmf", "pmf_bruteforce", "to_constrained",       # distribution
         "load_csv", "ColumnSpec",                        # data
-        "total_loglik", "coef_dim",                      # likelihoods
+        "total_loglik", "loglik_and_score", "coef_dim",  # likelihoods
         "fit", "FitConfig", "wald_inference",            # fitting
         "aic", "vuong_test", "comparison_report",        # comparison
         "SimSpec", "run_study",                          # simulation

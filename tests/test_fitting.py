@@ -176,6 +176,33 @@ class TestFitZip:
         assert all(r["evaluations"] > 0 for r in starts)
         assert all(isinstance(r["message"], str) and r["message"] for r in starts)
         assert sum(r["evaluations"] for r in starts) <= res.n_evaluations
+        # every L-BFGS-B step is one fused value-and-score call
+        assert all(r["score_calls"] == r["evaluations"] for r in starts)
+        assert sum(r["score_calls"] for r in starts) <= res.diagnostics["score_calls"]
+        assert res.diagnostics["score_calls"] <= res.n_evaluations
+
+    def test_fit_uses_analytic_scores(self, monkeypatch):
+        import fbreg.fitting as fitting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite-difference oracle called by fit")
+
+        monkeypatch.setattr(fitting, "numerical_gradient", refuse)
+        monkeypatch.setattr(fitting, "numerical_hessian", refuse)
+        rng = np.random.default_rng(6)
+        X, y = simulate_zip(rng, 100, np.array([0.2, 0.5]), np.array([-0.5, 0.3]))
+        res = fit("zip", make_dataset(y, X), FitConfig(n_starts=2, seed=0))
+        assert res.converged and np.all(np.isfinite(res.std_errors))
+
+    def test_observed_information_matches_second_differences(self):
+        rng = np.random.default_rng(7)
+        X, y = simulate_zip(rng, 300, np.array([0.4, 0.6]), np.array([-0.8, 0.4]))
+        ds = make_dataset(y, X)
+        res = fit("zip", ds, FitConfig(n_starts=1, seed=0))
+        ref = numerical_hessian(
+            lambda t: -total_loglik("zip", t, ds), res.coefficients.values
+        )
+        assert np.max(np.abs(res.hessian - ref)) <= 1e-4 * np.max(np.abs(ref))
 
     def test_box_constrains_all_coordinates(self):
         rng = np.random.default_rng(4)
@@ -210,14 +237,17 @@ class TestFitFb:
         assert np.all(err < 2.5)
 
     def test_evaluation_budget(self):
-        # one L-BFGS-B run plus the polish takes about 500 evaluations; a
-        # simplex warm start in front of it would take about 1,700
+        # one L-BFGS-B run on analytic scores plus the polish takes about 30
+        # evaluations; on central-difference gradients it took about 500,
+        # and with a simplex warm start in front about 1,700
         res = fit(
             "fb",
             self._dataset(),
             FitConfig(n_starts=1, box=5.0, seed=1, compute_hessian=False),
         )
         assert res.n_evaluations <= 800
+        assert res.n_evaluations <= 100
+        assert res.diagnostics["score_calls"] <= 100
 
     def test_all_zero_responses_hit_boundary(self):
         n = 50

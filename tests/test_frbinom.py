@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
 from fbreg.frbinom import (
+    _pmf_rows,
+    _unique_triples,
     BRUTE_FORCE_MAX_N,
     FbParams,
     FbParamsNatural,
@@ -419,6 +421,49 @@ class TestBatchLane:
         rows = pmf_batch(20, triples[:, 0], triples[:, 1], triples[:, 2])
         assert np.all(rows >= 0.0)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-8)
+
+
+class TestTangentLane:
+    @pytest.mark.parametrize("N", [1, 2, 6, 17, 40])
+    def test_matches_central_differences_of_pmf_batch(self, N):
+        rng = np.random.default_rng(N)
+        p, H, cc = rng.uniform(0.02, 0.98, (3, 25))
+        rows, drows = _pmf_rows(N, p, H, cc, tangents=True)
+        np.testing.assert_array_equal(rows, pmf_batch(N, p, H, cc))
+        h = 1e-6
+        for k in range(3):
+            step = np.zeros((3, 1))
+            step[k] = h
+            up = pmf_batch(N, *(np.array([p, H, cc]) + step))
+            down = pmf_batch(N, *(np.array([p, H, cc]) - step))
+            np.testing.assert_allclose(drows[k], (up - down) / (2 * h), rtol=0, atol=1e-7)
+
+    def test_root_branch_of_c_max_binds_on_the_open_square(self):
+        # the tangent lane differentiates only the root branch of the min
+        p, H = np.meshgrid(np.linspace(1e-6, 1 - 1e-6, 201), np.linspace(1e-6, 1 - 1e-6, 201))
+        assert np.all(c_max(p, H) < 1.0 - p)
+
+    def test_clipped_inputs_have_zero_tangent(self):
+        _, drows = _pmf_rows(5, [1.5, 0.3], [0.4, -0.2], [0.5, 1.2], tangents=True)
+        assert np.all(drows[0, 0] == 0.0)
+        assert np.all(drows[1, 1] == 0.0)
+        assert np.all(drows[2, 1] == 0.0)
+        assert np.any(drows[2, 0] != 0.0)
+
+
+class TestUniqueTriples:
+    def test_same_as_row_wise_unique(self):
+        rng = np.random.default_rng(4)
+        pool = rng.uniform(0.05, 0.95, (3, 8))
+        pool[0, 3] = pool[0, 2]  # ties in the leading key, p
+        pool[:2, 5] = pool[:2, 4]  # ties in p and H
+        pick = rng.integers(0, 8, 540)
+        p, H, cc = pool[:, pick]
+        cc[:7] = 0.0
+        up, uh, uc, inv = _unique_triples(p, H, cc)
+        uniq, ref_inv = np.unique(np.column_stack([p, H, cc]), axis=0, return_inverse=True)
+        np.testing.assert_array_equal(np.column_stack([up, uh, uc]), uniq)
+        np.testing.assert_array_equal(inv, ref_inv.ravel())
 
 
 class TestPmfTableInvariants:

@@ -2,16 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import poisson
 
 from fbreg.data import Dataset
-from fbreg.frbinom import FbParams, pmf_bruteforce, to_constrained, FbParamsNatural
+from fbreg.fitting import numerical_gradient
+from fbreg.frbinom import (
+    LINK_EPS,
+    FbParams,
+    FbParamsNatural,
+    pmf_batch,
+    pmf_bruteforce,
+    pmf_row_exact,
+    to_constrained,
+)
 from fbreg.likelihood import (
     CoefVector,
     coef_dim,
     fb_logpmf,
     link_fb,
+    loglik_and_score,
     per_obs_loglik,
     total_loglik,
     zinb2_logpmf,
@@ -183,6 +193,27 @@ class TestZinb:
         np.testing.assert_allclose(zinb, ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(zinb2, ref, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("log_theta", [-2.0, 0.5, 3.0, 8.0, 14.0])
+    def test_nb_log_mass_matches_mpmath(self, log_theta):
+        # 3,000 rows with counts up to 200 take the sum over k < y in blocks
+        import mpmath
+
+        rng = np.random.default_rng(6)
+        x = np.column_stack([np.ones(3000), rng.uniform(-1, 1, 3000)])
+        y = rng.integers(0, 201, 3000)
+        coeffs = np.array([2.0, 1.5, -40.0, 0.0, log_theta])
+        got = zinb_logpmf(y, x, coeffs)
+        with mpmath.workdps(40):
+            theta = mpmath.exp(log_theta)
+            for i in range(0, 3000, 15):
+                mu = mpmath.exp(mpmath.mpf(float(x[i] @ coeffs[:2])))
+                k = int(y[i])
+                ref = (
+                    mpmath.loggamma(k + theta) - mpmath.loggamma(theta) - mpmath.loggamma(k + 1)
+                    + theta * mpmath.log(theta / (theta + mu)) + k * mpmath.log(mu / (theta + mu))
+                )
+                assert got[i] == pytest.approx(float(ref), rel=1e-13, abs=1e-11)
+
     def test_zinb2_intercept_only_equals_zinb(self):
         rng = np.random.default_rng(2)
         X = np.column_stack([np.ones(30), rng.normal(size=30)])
@@ -261,3 +292,123 @@ class TestTotalLoglik:
         ds = make_dataset(y, X, N=20)
         theta = rng.uniform(-3, 3, coef_dim(model, 2))
         assert np.isfinite(total_loglik(model, theta, ds))
+
+
+def score_design(N=6, n=30):
+    """Intercept, a two-level categorical column and a continuous one."""
+    X = np.column_stack([np.ones(n), np.arange(n) % 2, np.linspace(-1.0, 1.0, n)])
+    y = (np.arange(n) * 5) % (N + 1)
+    return make_dataset(y, X, N=N, has_intercept=True)
+
+
+def assert_score_matches_differences(model, theta, ds):
+    """The fused call against central differences of total_loglik: the value
+    bit for bit, the score within 1e-6 relative to its largest entry or 1e-6
+    absolute."""
+    theta = np.asarray(theta, dtype=float)
+    value, score = loglik_and_score(model, theta, ds)
+    assert value == total_loglik(model, theta, ds)
+    ref = numerical_gradient(lambda t: total_loglik(model, t, ds), theta)
+    assert np.max(np.abs(score - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
+    return score
+
+
+def fb_exact_loglik(theta, ds):
+    """fb log-likelihood with every observation on the exact route."""
+    p, H, cc = link_fb(ds.X, theta)
+    return sum(
+        math.log(max(pmf_row_exact(ds.N, p[i], H[i], cc[i])[ds.y[i]], 1e-300))
+        for i in range(ds.n)
+    )
+
+
+class TestLoglikAndScore:
+    @pytest.mark.parametrize("model", ["fb", "zip", "zinb", "zinb2"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_numerical_gradient(self, model, data):
+        ds = score_design()
+        d = coef_dim(model, 3)
+        theta = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+        if model == "fb":
+            # pmf_batch's error is absolute (about 1e-16 at N = 6), so between
+            # the exact-route switch at 1e-8 and 1e-5 an observation's value
+            # is only 1e-8 to 1e-11 relative, which a difference step of 1e-5
+            # turns into noise of up to 1e-3; the next test covers those draws
+            p, H, cc = link_fb(ds.X, theta)
+            probs = pmf_batch(ds.N, p, H, cc)[np.arange(ds.n), ds.y]
+            assume(not np.any((probs > 0.99e-8) & (probs < 1e-5)))
+        assert_score_matches_differences(model, theta, ds)
+
+    @given(theta=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
+    @settings(max_examples=15, deadline=None)
+    def test_fb_matches_exact_route_differences(self, theta):
+        ds = score_design()
+        theta = np.array(theta)
+        _, score = loglik_and_score("fb", theta, ds)
+        ref = numerical_gradient(lambda t: fb_exact_loglik(t, ds), theta)
+        assert np.max(np.abs(score - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
+
+    def test_fb_tail_rows(self):
+        # y = N at p near 0.02 and c_circ near 3e-4: pmf_batch puts those
+        # observations below 1e-8, so value and score take the exact route
+        base = score_design()
+        y = np.where(np.arange(base.n) % 3 == 0, base.N, np.arange(base.n) % 2)
+        ds = make_dataset(y, base.X, N=base.N, has_intercept=True)
+        theta = np.array([-4.0, 0.3, 0.2, 0.5, -0.4, 0.3, -8.0, 0.5, 0.4])
+        p, H, cc = link_fb(ds.X, theta)
+        probs = pmf_batch(ds.N, p, H, cc)[np.arange(ds.n), ds.y]
+        assert np.all((probs < 1e-8) == (ds.y == ds.N))
+        assert_score_matches_differences("fb", theta, ds)
+
+    def test_fb_row_on_the_probability_floor(self):
+        # row 0: p and c_circ near 1e-11 and y = N = 30, exact mass below 1e-300
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.5]])
+        ds = make_dataset([30, 2, 0], X, N=30, has_intercept=True)
+        theta = np.array([-25.0, 24.0, 0.0, 0.3, -25.0, 24.5])
+        p, H, cc = link_fb(X, theta)
+        assert LINK_EPS < p[0] and pmf_row_exact(30, p[0], H[0], cc[0])[30] < 1e-300
+        score = assert_score_matches_differences("fb", theta, ds)
+        # row 0 contributes nothing to the score
+        rest = make_dataset([2, 0], X[1:], N=30, has_intercept=True)
+        np.testing.assert_array_equal(score, loglik_and_score("fb", theta, rest)[1])
+
+    def test_fb_link_clipped_at_link_eps(self):
+        # row 0 holds p at 1 - LINK_EPS, H and c_circ at LINK_EPS
+        X = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+        ds = make_dataset([4, 1, 3], X, N=4, has_intercept=True)
+        theta = np.array([0.3, 40.0, -0.2, -40.0, 0.1, -40.0])
+        p, H, cc = link_fb(X, theta)
+        assert p[0] == 1.0 - LINK_EPS and H[0] == LINK_EPS and cc[0] == LINK_EPS
+        assert_score_matches_differences("fb", theta, ds)
+
+    def test_fb_at_a_corner_of_the_study_box(self):
+        # criterion 6 fits inside [-5, 5]^d
+        ds = score_design()
+        theta = 5.0 * np.array([1, -1, 1, -1, 1, -1, -1, 1, 1])
+        assert_score_matches_differences("fb", theta, ds)
+
+    @pytest.mark.parametrize("log_theta", [2.0, 10.0, 20.0, 40.0, 60.0])
+    def test_zinb_dispersion_score(self, log_theta):
+        # theta (psi(y + theta) - psi(theta)) as a digamma difference is off
+        # by 5e-6 at log theta 20 and by 139 at 40
+        ds = score_design()
+        theta = np.array([0.4, -0.2, 0.3, -0.8, 0.3, 0.2, log_theta])
+        _, score = loglik_and_score("zinb", theta, ds)
+        ref = numerical_gradient(lambda t: total_loglik("zinb", t, ds), theta)
+        assert abs(score[-1] - ref[-1]) <= 1e-6
+
+    def test_zinb2_scalar_dispersion_equals_zinb(self):
+        ds = score_design()
+        base = np.array([0.4, -0.2, 0.3, -0.8, 0.3, 0.2])
+        _, zinb = loglik_and_score("zinb", np.append(base, 0.7), ds)
+        _, zinb2 = loglik_and_score("zinb2", np.append(base, [0.7, 0.0, 0.0]), ds)
+        np.testing.assert_allclose(zinb2[:6], zinb[:6], rtol=1e-12, atol=1e-12)
+        # the intercept of the dispersion predictor is the shared log theta
+        assert zinb2[6] == pytest.approx(zinb[6], rel=1e-12, abs=1e-12)
+
+    def test_clipped_predictor_gives_zero_score(self):
+        ds = score_design()
+        theta = np.array([0.4, -0.2, 0.3, 800.0, 0.0, 0.0])
+        _, score = loglik_and_score("zip", theta, ds)
+        np.testing.assert_array_equal(score[3:], 0.0)
