@@ -35,7 +35,6 @@ def parse_args(argv=None):
     parser.add_argument("--k", type=int, default=2, help="number of covariates")
     parser.add_argument("--box", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", type=Path, default=None, help="write all reports as JSON")
     return parser.parse_args(argv)
 
@@ -53,7 +52,6 @@ def main(argv=None):
             k=args.k,
             box=args.box,
             seed=args.seed,
-            workers=args.workers,
         )
         report = run_study(spec)
         reports.append(report)

@@ -193,7 +193,6 @@ def cmd_simulate(args) -> int:
         box=args.box if args.box is not None else 5.0,
         seed=args.seed,
         n_starts=args.starts,
-        workers=args.workers,
     )
     report = run_study(spec)
     _emit(
@@ -312,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=float, default=None)
     p.add_argument("--starts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
     _add_output_flags(p, ("table", "json"), "table")
     p.set_defaults(func=cmd_simulate)
 

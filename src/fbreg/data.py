@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -177,9 +176,6 @@ class Dataset:
             "columns": list(self.column_names),
             "dropped_rows": self.n_dropped,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
 
     def to_csv(self, path, response_name: str = "y") -> None:
         """Write response plus non-intercept design columns, float64-round-trip safe."""

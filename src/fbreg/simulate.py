@@ -5,16 +5,13 @@ covariate columns, pushes it through the three links, samples responses by
 inverse CDF, and refits under a box constraint.  Bias is mean(estimate) -
 truth across surviving replications; spread is the sample standard deviation
 (n-1 divisor).  Replications are independent, seeded as (seed, N, n, index),
-and may run on a thread pool without changing any reported number.
+and run one after another in index order.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +35,6 @@ class SimSpec:
     box: float = 5.0
     seed: int = 0
     n_starts: int = 1
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.replications < 1:
@@ -177,7 +173,7 @@ class SimReport:
         return "\n".join(lines)
 
 
-def _fit_one(spec: SimSpec, rep: int) -> tuple[int, dict]:
+def _fit_one(spec: SimSpec, rep: int) -> dict:
     dataset = generate(spec, rep)
     config = FitConfig(
         n_starts=spec.n_starts,
@@ -189,45 +185,26 @@ def _fit_one(spec: SimSpec, rep: int) -> tuple[int, dict]:
     values = result.coefficients.values
     if not (np.all(np.isfinite(values)) and math.isfinite(result.loglik)):
         raise ArithmeticError("non-finite estimate or log-likelihood")
-    return rep, {
+    return {
         "estimate": tuple(float(v) for v in values),
         "converged": bool(result.converged),
     }
 
 
 def run_study(spec: SimSpec) -> SimReport:
-    """Run all replications and aggregate; failures are counted, not fatal."""
+    """Run all replications in order and aggregate; failures are counted, not fatal."""
     t0 = time.perf_counter()
-    outcomes: dict[int, dict] = {}
+    outcomes: list[dict] = []
     failures: list[dict] = []
-
-    def handle(rep: int):
+    for rep in range(spec.replications):
         try:
-            _, out = _fit_one(spec, rep)
-            return rep, out, None
+            outcomes.append(_fit_one(spec, rep))
         except Exception as exc:  # noqa: BLE001 - replication isolation is the point
-            return rep, None, f"{type(exc).__name__}: {exc}"
-
-    reps = range(spec.replications)
-    workers = spec.workers
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1, spec.replications)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(handle, reps))
-    else:
-        results = [handle(r) for r in reps]
-    for rep, out, err in sorted(results, key=lambda t: t[0]):
-        if err is not None:
-            failures.append({"replication": rep, "error": err})
-        else:
-            outcomes[rep] = out
-    estimates = tuple(outcomes[r]["estimate"] for r in sorted(outcomes))
-    converged = tuple(outcomes[r]["converged"] for r in sorted(outcomes))
+            failures.append({"replication": rep, "error": f"{type(exc).__name__}: {exc}"})
     return SimReport(
         spec=spec,
-        estimates=estimates,
-        converged=converged,
+        estimates=tuple(out["estimate"] for out in outcomes),
+        converged=tuple(out["converged"] for out in outcomes),
         failures=tuple(failures),
         elapsed_seconds=time.perf_counter() - t0,
     )

@@ -192,11 +192,16 @@ class TestCompareCommand:
         assert "malformed" in capsys.readouterr().err
 
     def test_artifact_with_retired_cache_switch_loads(self, workdir, tmp_path):
-        # fit artifacts written before the pmf row cache and the simplex
-        # warm start were removed carry their settings in their config
+        # fit artifacts written before the pmf row cache, the simplex warm
+        # start and the Newton polish were removed carry their settings in
+        # their config and their counters in their diagnostics
         doc = json.loads(workdir["zip"].read_text())
         doc["config"]["use_cache"] = True
         doc["config"]["parameter_tolerance"] = 1e-6
+        doc["diagnostics"]["score_calls"] = doc["n_evaluations"]
+        doc["diagnostics"]["newton_polish_steps"] = 1
+        for report in doc["diagnostics"]["starts"]:
+            report["score_calls"] = report["evaluations"]
         older = tmp_path / "older_zip.json"
         older.write_text(json.dumps(doc))
         rc = main(
@@ -283,7 +288,7 @@ class TestProfileCommand:
 class TestSimulateCommand:
     def test_json_artifact_and_rerun_bytes(self, tmp_path):
         args = ["simulate", "--theta=-1,1,2,1,0,-1", "--n", "40", "--N", "5",
-                "--replications", "2", "--starts", "1", "--workers", "1",
+                "--replications", "2", "--starts", "1",
                 "--seed", "9", "--format", "json"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(args + ["--out", str(a)]) == 0
@@ -296,7 +301,7 @@ class TestSimulateCommand:
 
     def test_table_format(self, capsys):
         rc = main(["simulate", "--theta=-1,1,2,1,0,-1", "--n", "40", "--N", "5",
-                   "--replications", "1", "--starts", "1", "--workers", "1"])
+                   "--replications", "1", "--starts", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "psi:x1" in out and "bias" in out

@@ -92,7 +92,6 @@ class TestSimReportSchema:
             N=5,
             replications=2,
             seed=3,
-            workers=1,
         )
         schema = load_schema("sim_report.schema.json")
         doc = round_trip(run_study(spec).to_json_dict())

@@ -92,7 +92,7 @@ class TestGenerate:
 
 @pytest.fixture(scope="module")
 def small_report():
-    spec = SimSpec(theta_true=THETA, n=50, N=5, replications=3, seed=2, workers=1)
+    spec = SimSpec(theta_true=THETA, n=50, N=5, replications=3, seed=2)
     return spec, run_study(spec)
 
 
@@ -116,16 +116,8 @@ class TestRunStudy:
         assert "elapsed" not in a
         assert report.elapsed_seconds > 0
 
-    def test_parallel_matches_sequential(self):
-        base = dict(theta_true=THETA, n=50, N=5, replications=2, seed=6)
-        seq = run_study(SimSpec(workers=1, **base))
-        par = run_study(SimSpec(workers=2, **base))
-        assert json.dumps(seq.to_json_dict(), sort_keys=True) == json.dumps(
-            par.to_json_dict(), sort_keys=True
-        )
-
     def test_single_replication_has_no_spread(self):
-        spec = SimSpec(theta_true=THETA, n=50, N=5, replications=1, seed=8, workers=1)
+        spec = SimSpec(theta_true=THETA, n=50, N=5, replications=1, seed=8)
         report = run_study(spec)
         assert report.se is None
         assert report.bias is not None
@@ -142,7 +134,7 @@ class TestRunStudy:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(sim, "fit", flaky_fit)
-        spec = SimSpec(theta_true=THETA, n=50, N=5, replications=3, seed=2, workers=1)
+        spec = SimSpec(theta_true=THETA, n=50, N=5, replications=3, seed=2)
         report = run_study(spec)
         assert report.n_succeeded == 2
         assert len(report.failures) == 1
