@@ -93,6 +93,36 @@ class VuongResult:
         }
 
 
+def _per_obs(results: Sequence[FitResult], dataset: Dataset) -> list[np.ndarray]:
+    """Each fit's per-observation log-likelihood, once every fit is known to
+    carry the dataset's digest."""
+    digest = dataset.digest()
+    for r in results:
+        if r.dataset_digest != digest:
+            raise ValueError(
+                f"fit for model {r.model!r} carries digest {r.dataset_digest[:12]}..., "
+                f"dataset has {digest[:12]}...; refusing to compare across datasets"
+            )
+    return [
+        per_obs_loglik(r.model, r.coefficients.values, dataset, N=r.N) for r in results
+    ]
+
+
+def _vuong_result(model_a: str, model_b: str, la: np.ndarray, lb: np.ndarray) -> VuongResult:
+    stat, mean, sd = vuong_statistic(la, lb)
+    identical = sd == 0.0
+    return VuongResult(
+        model_a=model_a,
+        model_b=model_b,
+        statistic=stat,
+        p_value=math.nan if identical else vuong_p_value(stat),
+        n=la.shape[0],
+        mean_ratio=mean,
+        sd_ratio=sd,
+        identical_models=identical,
+    )
+
+
 def vuong_test(
     result_a: FitResult, result_b: FitResult, dataset: Dataset
 ) -> VuongResult:
@@ -101,27 +131,8 @@ def vuong_test(
     Both results must carry the digest of this dataset; comparing fits from
     different data is a hard error, not a warning.
     """
-    digest = dataset.digest()
-    for r in (result_a, result_b):
-        if r.dataset_digest != digest:
-            raise ValueError(
-                f"fit for model {r.model!r} carries digest {r.dataset_digest[:12]}..., "
-                f"dataset has {digest[:12]}...; refusing to compare across datasets"
-            )
-    la = per_obs_loglik(result_a.model, result_a.coefficients.values, dataset, N=result_a.N)
-    lb = per_obs_loglik(result_b.model, result_b.coefficients.values, dataset, N=result_b.N)
-    stat, mean, sd = vuong_statistic(la, lb)
-    identical = sd == 0.0
-    return VuongResult(
-        model_a=result_a.model,
-        model_b=result_b.model,
-        statistic=stat,
-        p_value=math.nan if identical else vuong_p_value(stat),
-        n=dataset.n,
-        mean_ratio=mean,
-        sd_ratio=sd,
-        identical_models=identical,
-    )
+    la, lb = _per_obs((result_a, result_b), dataset)
+    return _vuong_result(result_a.model, result_b.model, la, lb)
 
 
 def profile_distribution(
@@ -178,10 +189,16 @@ def comparison_report(results: Sequence[FitResult], dataset: Dataset) -> dict:
         }
         for r in ordered
     ]
+    # one per-observation vector per fit, shared by every pair it is in
+    per_obs = _per_obs(results, dataset)
     pairwise = []
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
-            pairwise.append(vuong_test(results[i], results[j], dataset).to_json_dict())
+            pairwise.append(
+                _vuong_result(
+                    results[i].model, results[j].model, per_obs[i], per_obs[j]
+                ).to_json_dict()
+            )
     return {
         "artifact": "comparison",
         "tool_version": __version__,

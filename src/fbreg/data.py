@@ -12,7 +12,8 @@ import csv
 import hashlib
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "ColumnSpec",
     "DataError",
     "Dataset",
+    "DesignCells",
     "RankDeficiencyError",
     "encode_profile",
     "load_csv",
@@ -91,6 +93,17 @@ def validate_full_rank(X: np.ndarray, column_names: Sequence[str] | None = None)
     )
 
 
+class DesignCells(NamedTuple):
+    """The distinct (design row, count) pairs of a dataset, in order of first
+    appearance: X[j] and y[j] occur counts[j] times, and observation i is
+    cell inverse[i]."""
+
+    X: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Counts plus design matrix, immutable once constructed.
@@ -99,6 +112,11 @@ class Dataset:
     column is the intercept when has_intercept is set.  N bounds the count
     support and must cover max(y).  categorical_levels records observed levels
     per categorical column, reference level first.
+
+    An observation's log-mass depends only on its (x, y) pair, so the
+    likelihood runs once per distinct pair (``cells``) and weights each by
+    how often it occurs; a design with continuous covariates has n cells.
+    ``cells`` and ``digest()`` are computed on first use and kept.
     """
 
     y: np.ndarray
@@ -151,6 +169,26 @@ class Dataset:
     def n_covariate_columns(self) -> int:
         return self.X.shape[1] - (1 if self.has_intercept else 0)
 
+    @cached_property
+    def cells(self) -> DesignCells:
+        """Distinct (design row, count) pairs, their counts and the map back."""
+        pairs = np.column_stack([self.X, self.y])
+        _, first, inverse, counts = np.unique(
+            pairs, axis=0, return_index=True, return_inverse=True, return_counts=True
+        )
+        # renumber the sorted cells by first appearance, so that a design
+        # without repeats keeps its rows in their own order
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        X = np.ascontiguousarray(self.X[first[order]])
+        y = self.y[first[order]]
+        counts = counts[order].astype(float)
+        inverse = rank[inverse.ravel()]
+        for a in (X, y, counts, inverse):
+            a.flags.writeable = False
+        return DesignCells(X, y, counts, inverse)
+
     def digest(self) -> str:
         """Hash of the canonicalized parsed data (independent of source formatting).
 
@@ -158,6 +196,10 @@ class Dataset:
         configuration, not data, and is deliberately excluded so fits with
         different N overrides remain comparable on the same data.
         """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         h = hashlib.sha256()
         h.update(repr(self.column_names).encode())
         h.update(b"intercept=1" if self.has_intercept else b"intercept=0")

@@ -463,6 +463,7 @@ def fit(
             "warnings": diag_warnings,
             "boundary": boundary,
             "projected_gradient_norm": gnorm,
+            "likelihood_cells": int(dataset.cells.counts.shape[0]),
         },
     )
     if config.compute_hessian:

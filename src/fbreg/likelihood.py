@@ -1,5 +1,12 @@
 """Per-observation log-probabilities and total log-likelihood for four models.
 
+An observation's log-mass depends only on its (design row, count) pair, so
+every public entry point evaluates the model once per distinct pair
+(``Dataset.cells``): per-observation values are read back through the
+cells' inverse map, and totals and scores weight each cell by its count.  A
+design without repeated pairs has one cell per observation, in observation
+order.
+
 FB regression links each observation's (p, H, c_circ) to covariates through
 logistic transforms of three linear predictors; the zero-inflated baselines
 use a log link for the count mean and a logistic link for the zero-inflation
@@ -309,24 +316,33 @@ def _checked(model: str, theta, dataset: Dataset, N: int | None):
     return theta, n_bound
 
 
+def _cell_loglik(model: str, theta, dataset: Dataset, N: int | None, slopes=False):
+    """log P per distinct (design row, count) cell of the dataset, with
+    d log P / d linear predictors per cell when slopes is set."""
+    theta, n_bound = _checked(model, theta, dataset, N)
+    cells = dataset.cells
+    if model == "fb":
+        return _fb_loglik_vector(cells.y, cells.X, theta, n_bound, slopes=slopes)
+    y = cells.y.astype(float)
+    if model == "zip":
+        ll = _zip_loglik_vector(y, cells.X, theta)
+    else:
+        ll = _zinb_loglik_vector(y, cells.X, theta, per_obs_theta=model == "zinb2")
+    if not slopes:
+        return ll
+    return ll, _baseline_slopes(model, y, cells.X, theta, ll)
+
+
 def per_obs_loglik(model: str, theta, dataset: Dataset, N: int | None = None) -> np.ndarray:
     """Vector of log-probabilities, one entry per observation."""
-    theta, n_bound = _checked(model, theta, dataset, N)
-    if model == "fb":
-        return _fb_loglik_vector(dataset.y, dataset.X, theta, n_bound)
-    y = dataset.y.astype(float)
-    if model == "zip":
-        return _zip_loglik_vector(y, dataset.X, theta)
-    if model == "zinb":
-        return _zinb_loglik_vector(y, dataset.X, theta, per_obs_theta=False)
-    if model == "zinb2":
-        return _zinb_loglik_vector(y, dataset.X, theta, per_obs_theta=True)
-    raise ValueError(f"unknown model {model!r}")
+    return _cell_loglik(model, theta, dataset, N)[dataset.cells.inverse]
 
 
 def total_loglik(model: str, theta, dataset: Dataset, N: int | None = None) -> float:
     """Sum of per-observation log-probabilities over the dataset."""
-    return float(np.sum(per_obs_loglik(model, theta, dataset, N=N)))
+    # a pairwise sum rather than a dot product: with every count 1 it adds
+    # the observations' values in their own order, as a sum over rows would
+    return float(np.sum(dataset.cells.counts * _cell_loglik(model, theta, dataset, N)))
 
 
 def loglik_and_score(
@@ -339,20 +355,12 @@ def loglik_and_score(
     route); zip, zinb and zinb2 use closed forms.  Where a clip holds a
     predictor (at +-700) or a linked value (at LINK_EPS) flat, the score is 0.
     """
-    theta, n_bound = _checked(model, theta, dataset, N)
-    X = dataset.X
-    if model == "fb":
-        ll, slopes = _fb_loglik_vector(dataset.y, X, theta, n_bound, slopes=True)
-    else:
-        y = dataset.y.astype(float)
-        if model == "zip":
-            ll = _zip_loglik_vector(y, X, theta)
-        else:
-            ll = _zinb_loglik_vector(y, X, theta, per_obs_theta=model == "zinb2")
-        slopes = _baseline_slopes(model, y, X, theta, ll)
+    ll, slopes = _cell_loglik(model, theta, dataset, N, slopes=True)
+    cells = dataset.cells
+    slopes = cells.counts[:, None] * slopes
     if model == "zinb":
         # the scalar dispersion is shared by every observation
-        score = np.append((X.T @ slopes[:, :2]).T.ravel(), slopes[:, 2].sum())
+        score = np.append((cells.X.T @ slopes[:, :2]).T.ravel(), slopes[:, 2].sum())
     else:
-        score = (X.T @ slopes).T.ravel()
-    return float(np.sum(ll)), score
+        score = (cells.X.T @ slopes).T.ravel()
+    return float(np.sum(cells.counts * ll)), score

@@ -194,8 +194,10 @@ class TestCompareCommand:
     def test_artifact_with_retired_cache_switch_loads(self, workdir, tmp_path):
         # fit artifacts written before the pmf row cache, the simplex warm
         # start and the Newton polish were removed carry their settings in
-        # their config and their counters in their diagnostics
+        # their config and their counters in their diagnostics; they predate
+        # the likelihood_cells counter
         doc = json.loads(workdir["zip"].read_text())
+        del doc["diagnostics"]["likelihood_cells"]
         doc["config"]["use_cache"] = True
         doc["config"]["parameter_tolerance"] = 1e-6
         doc["diagnostics"]["score_calls"] = doc["n_evaluations"]

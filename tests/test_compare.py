@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fbreg import compare
 from fbreg.compare import (
     VuongResult,
     aic,
@@ -213,6 +214,28 @@ class TestComparisonReport:
         by_model = {row["model"]: row for row in report["leaderboard"]}
         assert by_model["zip"]["aic"] == pytest.approx(aic(res_zip.loglik, res_zip.d))
         assert by_model["zinb"]["d"] == res_zinb.d
+
+    def test_one_per_observation_pass_per_fit(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 60
+        X = np.column_stack([np.ones(n), np.arange(n) % 2])
+        y = rng.integers(0, 5, n)
+        ds = make_dataset(y, X, N=6)
+        config = FitConfig(n_starts=1, max_iterations=5, compute_hessian=False)
+        results = [fit(m, ds, config) for m in ("fb", "zip", "zinb", "zinb2")]
+        calls = []
+        per_obs = compare.per_obs_loglik
+        monkeypatch.setattr(
+            compare, "per_obs_loglik", lambda *a, **k: calls.append(a[0]) or per_obs(*a, **k)
+        )
+        report = comparison_report(results, ds)
+        assert sorted(calls) == ["fb", "zinb", "zinb2", "zip"]
+        pairs = [
+            vuong_test(a, b, ds).to_json_dict()
+            for i, a in enumerate(results)
+            for b in results[i + 1 :]
+        ]
+        assert report["vuong"] == pairs
 
     def test_table_rendering(self, fitted_pair):
         ds, res_zip, res_zinb = fitted_pair

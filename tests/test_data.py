@@ -188,7 +188,60 @@ class TestDatasetInvariants:
             ds.X[0, 0] = 9.0
 
 
+class TestDesignCells:
+    def test_repeated_pairs_share_a_cell(self):
+        X = np.column_stack([np.ones(7), [0, 1, 0, 1, 0, 0, 1]])
+        y = np.array([2, 0, 2, 1, 2, 0, 0])
+        ds = Dataset(y=y, X=X, column_names=("intercept", "g"), N=3)
+        cells = ds.cells
+        # first appearance: (0, 2), (1, 0), (1, 1), (0, 0)
+        np.testing.assert_array_equal(cells.X[:, 1], [0, 1, 1, 0])
+        np.testing.assert_array_equal(cells.y, [2, 0, 1, 0])
+        np.testing.assert_array_equal(cells.counts, [3, 2, 1, 1])
+        np.testing.assert_array_equal(cells.inverse, [0, 1, 0, 2, 0, 3, 1])
+        np.testing.assert_array_equal(cells.X[cells.inverse], ds.X)
+        np.testing.assert_array_equal(cells.y[cells.inverse], ds.y)
+        assert ds.cells is cells
+        for a in cells:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_continuous_design_keeps_every_row_in_order(self):
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(40), rng.normal(size=40)])
+        ds = Dataset(y=rng.integers(0, 2, 40), X=X, column_names=("intercept", "x"), N=1)
+        np.testing.assert_array_equal(ds.cells.X, ds.X)
+        np.testing.assert_array_equal(ds.cells.y, ds.y)
+        np.testing.assert_array_equal(ds.cells.counts, np.ones(40))
+        np.testing.assert_array_equal(ds.cells.inverse, np.arange(40))
+
+
 class TestDigestAndRoundTrip:
+    def test_digest_pinned(self):
+        # stored artifacts carry this hash; it must not change with the code
+        ds = Dataset(
+            y=np.array([0, 3, 1, 0]),
+            X=np.array([[1.0, 0.5], [1.0, -1.25], [1.0, 0.1], [1.0, 2.0]]),
+            column_names=("intercept", "x"),
+            N=5,
+        )
+        assert ds.digest() == (
+            "24c4c2909fc3a8d150d66203b056432371203b3fc1ff1ada084aa17ee8068324"
+        )
+
+    def test_digest_computed_once(self, tmp_path, monkeypatch):
+        from fbreg import data
+
+        ds = load_csv(write(tmp_path, BASIC), "y", [ColumnSpec("dose")])
+        calls = []
+        sha256 = data.hashlib.sha256
+        monkeypatch.setattr(
+            data.hashlib, "sha256", lambda *a: calls.append(1) or sha256(*a)
+        )
+        first = ds.digest()
+        assert all(ds.digest() == first for _ in range(3))
+        assert len(calls) == 1
+
     def test_digest_stable_and_format_independent(self, tmp_path):
         ds1 = load_csv(write(tmp_path, BASIC, "a.csv"), "y", [ColumnSpec("dose")])
         spaced = BASIC.replace("0.5", "0.50").replace(",", " ,").replace(" ,", ",")

@@ -268,6 +268,14 @@ class TestStartSelection:
         assert res.loglik >= max(values) - 1e-12 * abs(res.loglik)
 
 
+    def test_artifact_counts_likelihood_cells(self):
+        # 8 covariate patterns times at most 18 counts, against 540 rows
+        ds = self._photoperiod_design(34)
+        res = fit("zip", ds, FitConfig(n_starts=1, compute_hessian=False))
+        cells = res.to_json_dict()["diagnostics"]["likelihood_cells"]
+        assert cells == ds.cells.counts.shape[0] <= 8 * 18
+
+
 class TestFitFb:
     THETA_TRUE = np.array([-0.5, 0.8, 1.5, 0.5, 0.0, -0.5])
 

@@ -412,3 +412,57 @@ class TestLoglikAndScore:
         theta = np.array([0.4, -0.2, 0.3, 800.0, 0.0, 0.0])
         _, score = loglik_and_score("zip", theta, ds)
         np.testing.assert_array_equal(score[3:], 0.0)
+
+
+def grouped_design(N=6, seed=5):
+    """Six covariate patterns and counts from a few values, so that most
+    (design row, count) pairs repeat, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    n = 90
+    g = np.arange(n) % 2
+    dose = np.array([0.5, 1.0, 2.0])[np.arange(n) % 3]
+    y = np.array([0, 0, 1, 3, N])[np.arange(n) % 5]
+    order = rng.permutation(n)
+    X = np.column_stack([np.ones(n), g, dose])[order]
+    return make_dataset(y[order], X, N=N, has_intercept=True)
+
+
+GROUPED_THETA = {
+    "fb": [-0.4, 0.3, 0.2, 0.5, -0.4, 0.3, 0.6, -0.5, 0.4],
+    "zip": [0.4, -0.2, 0.3, -0.8, 0.3, 0.2],
+    "zinb": [0.4, -0.2, 0.3, -0.8, 0.3, 0.2, 0.7],
+    "zinb2": [0.4, -0.2, 0.3, -0.8, 0.3, 0.2, 0.7, -0.3, 0.2],
+}
+
+
+class TestGroupedLikelihood:
+    """Each model runs once per distinct (design row, count) pair; the
+    results must be those of a pass over every observation."""
+
+    @pytest.mark.parametrize("model", ["fb", "zip", "zinb", "zinb2"])
+    def test_matches_scalar_logpmf_row_by_row(self, model):
+        ds = grouped_design()
+        assert ds.cells.counts.shape[0] < ds.n
+        theta = np.array(GROUPED_THETA[model])
+        scalar = {
+            "fb": lambda y, x: fb_logpmf(y, x, theta, N=ds.N),
+            "zip": lambda y, x: zip_logpmf(y, x, theta),
+            "zinb": lambda y, x: zinb_logpmf(y, x, theta),
+            "zinb2": lambda y, x: zinb2_logpmf(y, x, theta),
+        }[model]
+        rows = np.array([scalar(int(ds.y[i]), ds.X[i]) for i in range(ds.n)])
+        vec = per_obs_loglik(model, theta, ds)
+        np.testing.assert_allclose(vec, rows, rtol=1e-12, atol=0.0)
+        total = total_loglik(model, theta, ds)
+        assert total == pytest.approx(float(rows.sum()), rel=1e-12)
+        value, _ = loglik_and_score(model, theta, ds)
+        assert value == total
+
+    @pytest.mark.parametrize("model", ["fb", "zip", "zinb", "zinb2"])
+    def test_score_weights_each_cell_by_its_count(self, model):
+        ds = grouped_design()
+        assert_score_matches_differences(model, GROUPED_THETA[model], ds)
+
+    def test_continuous_design_has_one_cell_per_observation(self):
+        ds = score_design()
+        assert ds.cells.counts.shape[0] == ds.n

@@ -51,6 +51,16 @@ class TestFitResultSchema:
         jsonschema.validate(round_trip(res_zip.to_json_dict()), schema)
         jsonschema.validate(round_trip(res_zinb.to_json_dict()), schema)
 
+    def test_likelihood_cells_recorded_and_optional(self, fitted):
+        ds, res_zip, _ = fitted
+        schema = load_schema("fit_result.schema.json")
+        doc = round_trip(res_zip.to_json_dict())
+        # continuous covariates: no (design row, count) pair repeats
+        assert doc["diagnostics"]["likelihood_cells"] == ds.n
+        # artifacts written before the counter existed still validate
+        del doc["diagnostics"]["likelihood_cells"]
+        jsonschema.validate(doc, schema)
+
     def test_missing_required_key_fails(self, fitted):
         _, res_zip, _ = fitted
         schema = load_schema("fit_result.schema.json")
