@@ -142,23 +142,24 @@ def profile_distribution(
 
     Returns counts 0..K, the mean fitted probability of each count, and the
     mass beyond K (zero for the bounded model, positive in general for the
-    unbounded baselines).
+    unbounded baselines).  Each model is evaluated once per distinct (design
+    row, count) cell, weighted by how often the cell occurs.
     """
     model = result.model
     theta = result.coefficients.values
-    X, n = dataset.X, dataset.n
+    n = dataset.n
+    X, weights = dataset.cells.X, dataset.cells.counts / n
     if model == "fb":
         N = result.N if result.N is not None else dataset.N
         K = N if max_count is None else min(int(max_count), N)
         p, H, cc = link_fb(X, theta)
-        rows = pmf_batch(N, p, H, cc)
-        fitted = rows.mean(axis=0)[: K + 1]
-        tail = float(max(0.0, 1.0 - fitted.sum()))
+        fitted = (weights @ pmf_batch(N, p, H, cc))[: K + 1]
     else:
         K = dataset.N if max_count is None else int(max_count)
         logpmf = {"zip": zip_logpmf, "zinb": zinb_logpmf, "zinb2": zinb2_logpmf}[model]
-        fitted = np.array([np.exp(logpmf(np.full(n, k), X, theta)).mean() for k in range(K + 1)])
-        tail = float(max(0.0, 1.0 - fitted.sum()))
+        y = np.zeros(X.shape[0], dtype=np.int64)
+        fitted = np.array([weights @ np.exp(logpmf(y + k, X, theta)) for k in range(K + 1)])
+    tail = float(max(0.0, 1.0 - fitted.sum()))
     counts = np.bincount(dataset.y.astype(int), minlength=K + 1)[: K + 1]
     return {
         "model": model,

@@ -400,6 +400,7 @@ def fit(
             "start": s_idx,
             "loglik": -fun if fun < _HUGE else None,
             "evaluations": n_evaluations - before,
+            "iterations": int(res.nit),
             "message": str(res.message),
         }
         start_reports.append(report)

@@ -14,14 +14,15 @@ probabilities gives it as an alternating sum that cancels catastrophically in
 double precision once N is moderately large.  Three routes compute it, kept
 independent of each other:
 
-* ``pmf`` -- arbitrary-precision signed sum, exact to float64 at any N; the
-  reference behind ``sample``, single tables and the likelihood's recompute
-  of tiny probabilities.
-* ``pmf_batch`` -- float64 rows for likelihood evaluation at any N: the
-  probability generating function at the N+1 roots of unity, inverted by one
-  FFT (Abate & Whitt, Oper. Res. Lett. 12, 1992).  Its terms do not cancel,
-  so the absolute error stays near 1e-14 and nothing depends on the
-  platform's long double.
+* ``pmf`` -- arbitrary-precision signed sum, with working precision sized
+  to the worst cancellation, so absolute errors stay below float64 rounding
+  at any N; the reference behind ``sample`` and single tables.
+* ``pmf_batch`` -- float64 rows for likelihood evaluation at any N, from the
+  renewal structure of B_N.  Every term it adds is nonnegative, so each
+  entry keeps relative precision, tail included: on 600 random rows up to
+  N = 100, with the logits of (p, H, c_circ) in [-12, 12], it was within
+  5e-13 relative (entries above 1e-300) and 1e-14 absolute of ``pmf``.
+  Nothing depends on the platform's long double.
 * ``pmf_bruteforce`` -- an oracle that enumerates all 2**N configurations
   through a signed superset transform.
 """
@@ -51,7 +52,6 @@ __all__ = [
     "pmf",
     "pmf_batch",
     "pmf_bruteforce",
-    "pmf_row_exact",
     "sample",
     "to_constrained",
     "variance_asymptotic",
@@ -462,57 +462,82 @@ def sample(N: int, params: FbParams, count: int, seed) -> np.ndarray:
     return np.minimum(idx, N).astype(np.int64)
 
 
-def pmf_row_exact(N: int, p: float, H: float, c_circ: float) -> np.ndarray:
-    """Arbitrary-precision pmf row for one rescaled triple (likelihood fallback)."""
-    c = float(c_circ * c_max(p, H))
-    probs, _ = _pmf_exact_cached(int(N), float(p), float(H), c)
-    return np.asarray(probs, dtype=float)
+def _renewal_rows(N: int, p, H, c, tangents: bool) -> np.ndarray:
+    """pmf rows for G natural triples from the renewal structure of B_N.
 
+    Given a success at t, the trials before and after t are independent, so
+    the successes are a renewal process with u(0) = 1 and u(d) = p +
+    c*d**(2H-2) (Feller, Vol. 1, Ch. XIII).  With D(i) = u(i-1) - u(i) > 0,
+    the first-return tail is the series Fbar = 1 / (1 - D(s)), and the
+    first-return probabilities are f(n) = (p + c) Fbar(n-1) - S(n) with
+    S(n) = sum_{i>=2} D(i) Fbar(n-i).  From a(t, 1) = p Fbar(t-1) and
+    a(t, k) = sum_{s<t} a(s, k-1) f(t-s), the chance of k successes up to t
+    with the k-th at t,
 
-def _pgf_rows(N: int, p: np.ndarray, H: np.ndarray, c: np.ndarray, tangents: bool) -> np.ndarray:
-    """Raw pmf rows for G natural triples, by inverting the pgf with one FFT.
+        P(k) = sum_t a(t, k) Fbar(N-t)  (k >= 1),
+        P(0) = Fbar(N) + sum_{k=1..N} c k**(2H-2) Fbar(N-k).
 
-    The pgf is phi(s) = E[s**B_N] = 1 + sum_j g(j), where g(j) sums
-    (s-1)**|S| times the joint success probability over the position sets S
-    whose largest element is j:  g(j) = (s-1) * (p + sum_{i<j} g(i) * w(j-i))
-    with w(d) = p + c*d**(2H-2).  g(j) is the pgf of the first j+1 variables
-    minus that of the first j, so |g(j)| <= 2 on the unit circle and nothing
-    cancels.  phi at s = exp(-2*pi*1j*k/(N+1)) is the discrete Fourier
-    transform of the pmf, which irfft inverts.  Each g(j) is pushed into the
-    sums of all later positions as soon as it is known; the recursion uses
-    elementwise operations only, so a row's bits do not depend on the batch
-    it is computed in.
-
-    Returns shape (G, lanes, N+1) with the rows in lane 0; tangents adds
-    lanes 1-3, d/dp, d/dH and d/dc carried forward through the recursion
-    (dg(j) = (s-1) * d inner[j]; each push adds w * dg + dw * g).
+    Every sum adds nonnegative terms, and only f subtracts.  Values are
+    pushed forward by elementwise operations once final, so a row's bits do
+    not depend on its batch.  Returns (lanes, N+1, G), the rows in lane 0;
+    tangents adds d/dp, d/dH and d/dc in lanes 1-3.
     """
-    # rfft length: phi at the remaining roots of unity is the conjugate
-    M = (N + 1) // 2 + 1
-    s_minus_1 = np.exp(-2j * np.pi * np.arange(M) / (N + 1)) - 1.0
-    d = np.arange(1, N, dtype=float)[:, None]
-    d_pow = d ** (2.0 * H - 2.0)
-    # (N-1, G, 1, 1), w[d-1] = w(d); cast once rather than in every product
-    w = (p + c * d_pow)[:, :, None, None].astype(complex)
-    # lane 0 is the primal, lanes 1-3 its derivatives in p, H and c;
-    # inner[j] = p + sum_{i<j} g(i) * w(j-i), filled in as the g(i) arrive
-    lanes = 4 if tangents else 1
-    inner = np.zeros((N, p.shape[0], lanes, M), dtype=complex)
-    inner[:, :, 0] += p[:, None]
-    phi = np.zeros((p.shape[0], lanes, M), dtype=complex)
-    phi[:, 0] = 1.0
-    if tangents:
-        inner[:, :, 1] = 1.0
-        # dw/dp = 1, dw/dH = 2 c ln(d) d**(2H-2), dw/dc = d**(2H-2)
-        dw = np.stack([np.ones_like(d_pow), 2.0 * c * np.log(d) * d_pow, d_pow], axis=-1)
-        dw = dw[..., None].astype(complex)
-    for j in range(N):
-        g = s_minus_1 * inner[j]
-        phi += g
-        inner[j + 1 :] += w[: N - 1 - j] * g
-        if tangents:
-            inner[j + 1 :, :, 1:] += dw[: N - 1 - j] * g[:, :1]
-    return np.fft.irfft(phi, n=N + 1, axis=-1)
+    G = p.shape[0]
+    e = 2.0 * H - 2.0
+    d = np.arange(1, N + 1, dtype=float)[:, None]
+    log_d = np.log(d)
+    d_pow = np.exp(e * log_d)  # d**(2H-2), d = 1..N
+    step = np.log1p(1.0 / d[:-1])  # log(i / (i-1)), i = 2..N
+    shrink = np.expm1(e * step)  # (i / (i-1))**(2H-2) - 1 < 0
+    gap = -d_pow[:-1] * shrink  # D(i) / c = (i-1)**(2H-2) - i**(2H-2)
+    # by lag, pushed from Fbar: D into Fbar, D(i >= 2) into S, c d**(2H-2) into P(0)'s sum
+    kern = np.zeros((3, N + 1, G))
+    kern[0, 1] = (1.0 - p) - c
+    kern[0, 2:] = kern[1, 2:] = c * gap
+    kern[2, 1:] = c * d_pow
+    acc = np.zeros((3, N + 1, G))
+    acc[0, 0] = 1.0
+    for m in range(1, N + 1):
+        acc[:, m:] += kern[:, 1 : N - m + 2] * acc[0, m - 1]
+    fbar = acc[0]
+    f = (p + c) * fbar[:-1] - acc[1, 1:]  # f(1..N)
+    # a(t, .) is pushed with weights[t, j] = f(j+1) into rows t+1..N, and
+    # with weights[t, N-t] = Fbar(N-t) into row N+1, whose column k+1 is P(k)
+    t_idx, j_idx = np.arange(N + 1)[:, None], np.arange(N + 1)
+    weights = np.concatenate([f, fbar[::-1]])[np.where(j_idx < N - t_idx, j_idx, N + t_idx)]
+    a = np.zeros((N + 2, N + 2, G))
+    a[1 : N + 1, 1] = p * fbar[:-1]
+    for t in range(1, N + 1):
+        a[t + 1 :, 2 : t + 2] += weights[t, : N - t + 1, None] * a[t, None, 1 : t + 1]
+    out = np.empty((4 if tangents else 1, N + 1, G))
+    out[0, 1:] = a[N + 1, 2:]
+    out[0, 0] = fbar[N] + acc[2, N]
+    if not tangents:
+        return out
+    # For k >= 1, P(k) = [s^N] p s Fbar**2 F**(k-1) with F = 1 - (1-s) Fbar,
+    # so with dFbar = Fbar**2 dD and dF = -(1-s) dFbar, dP(k) = P(k) dp / p
+    # + 2 sum_t a(t, k) dFbar(N-t) + (k-1) sum_t a(t, k-1) (Fbar dF)(N-t).
+    # By lag, in lanes p, H, c: dD, then d(c d**(2H-2)) for P(0)
+    d_kern = np.zeros((6, N + 1, G))
+    d_kern[[0, 2], 1] = -1.0
+    d_kern[1, 2:] = 2.0 * c * d_pow[:-1] * (-log_d[:-1] * shrink - (1.0 + shrink) * step)
+    d_kern[2, 2:] = gap
+    d_kern[4, 1:] = 2.0 * c * log_d * d_pow
+    d_kern[5, 1:] = d_pow
+    # the series product with Fbar, through its lower-triangular Toeplitz matrix
+    toeplitz = np.vstack([fbar, np.zeros(G)])[np.where(j_idx <= t_idx, t_idx - j_idx, N + 1)]
+    times_fbar = lambda x: np.einsum("nig,lig->lng", toeplitz, x)
+    fbar_dkern = times_fbar(d_kern)
+    d_fbar = times_fbar(fbar_dkern[:3])
+    d_f = -np.diff(d_fbar, axis=1, prepend=0.0)
+    # sum_t a(t, k) x(N-t) for k = 1..N, with x = dFbar and x = Fbar dF
+    u_v = np.einsum("tkg,ltg->lkg", a[:-1, 1:-1], np.vstack([d_fbar, times_fbar(d_f)])[:, ::-1])
+    out[1:, 1:] = 2.0 * u_v[:3]
+    out[1:, 2:] += np.arange(1.0, N)[:, None] * u_v[3:, :-1]
+    out[1, 1:] += out[0, 1:] / p
+    out[1:, 0] = d_fbar[:, N] + fbar_dkern[3:, N]
+    out[1:, 0] += np.einsum("kg,lkg->lg", kern[2], d_fbar[:, ::-1])
+    return out
 
 
 def _unique_triples(p: np.ndarray, H: np.ndarray, c_circ: np.ndarray):
@@ -532,9 +557,11 @@ def pmf_batch(N: int, p, H, c_circ) -> np.ndarray:
 
     p and H are clipped into [LINK_EPS, 1 - LINK_EPS] and c_circ into
     [0, 1 - LINK_EPS]; each unique triple is computed once, in float64 by
-    ``_pgf_rows``, then clamped at zero and renormalized.  Rows agree with
-    ``pmf`` within about 1e-14 entrywise up to N = 100, on every platform,
-    and are bitwise independent of the batch they are computed in.
+    ``_renewal_rows``, and entries that round below zero are clamped to it.
+    Every entry, the tail included, keeps relative precision: against
+    ``pmf`` on random rows up to N = 100 it stays within 5e-13 relative and
+    1e-14 absolute, on every platform.  Rows are bitwise independent of the
+    batch they are computed in.
     """
     return _pmf_rows(N, p, H, c_circ, tangents=False)
 
@@ -554,17 +581,14 @@ def _pmf_rows(N: int, p, H, c_circ, tangents: bool):
     up, uh, uc, inv = _unique_triples(*linked)
     bound = c_max(up, uh)
     c = uc * bound
-    lanes = 4 if tangents else 1
-    out = np.empty((lanes, up.shape[0], N + 1), dtype=float)
-    # keeps the (N, rows, lanes, N/2) complex work array near 8 MB
-    chunk = max(1, (1 << 20) // (N * N * lanes))
+    out = np.empty((4 if tangents else 1, up.shape[0], N + 1), dtype=float)
+    # keeps each (N, N, rows) work array near 8 MB
+    chunk = max(1, (1 << 20) // (N * N))
     for lo in range(0, up.shape[0], chunk):
         part = slice(lo, lo + chunk)
-        out[:, part] = _pgf_rows(N, up[part], uh[part], c[part], tangents).transpose(1, 0, 2)
+        out[:, part] = _renewal_rows(N, up[part], uh[part], c[part], tangents).transpose(0, 2, 1)
     clamped = out[0] < 0.0
     rows = np.where(clamped, 0.0, out[0])
-    total = rows.sum(axis=1, keepdims=True)
-    rows /= total
     if not tangents:
         return rows[inv]
     # c_max = min(1 - p, (-2p + a + root)/2), a = 2^(2H-2), root = sqrt(4p -
@@ -579,8 +603,7 @@ def _pmf_rows(N: int, p, H, c_circ, tangents: bool):
         out[2] + d_c * (uc * dbound_dh)[:, None],
         d_c * bound[:, None],
     ])
-    drows = np.where(clamped, 0.0, drows)
-    drows = ((drows - rows * drows.sum(axis=-1, keepdims=True)) / total)[:, inv]
+    drows = np.where(clamped, 0.0, drows)[:, inv]
     for k in range(3):
         drows[k, raw[k] != linked[k]] = 0.0
     return rows[inv], drows

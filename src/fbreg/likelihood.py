@@ -21,7 +21,6 @@ Parameter packing per design with m columns:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,42 +130,17 @@ def _link_slope(v: np.ndarray) -> np.ndarray:
     return np.where((v > eps) & (v < 1.0 - eps), v * (1.0 - v), 0.0)
 
 
-def _tail_dlog(N: int, y: int, linked: tuple[float, float, float]) -> np.ndarray:
-    """d log P(y) / d (p, H, c_circ) by central differences of the exact row."""
-    out = np.empty(3)
-    for k, v in enumerate(linked):
-        up, down = list(linked), list(linked)
-        # a logit step of 1e-5, floored near 1, where v is spaced 1e-16 apart
-        h = 1e-5 * v * max(1.0 - v, 1e-8)
-        up[k], down[k] = v + h, v - h
-        logs = [math.log(max(frbinom.pmf_row_exact(N, *at)[y], _PROB_FLOOR)) for at in (up, down)]
-        out[k] = (logs[0] - logs[1]) / (up[k] - down[k])
-    return out
-
-
 def _fb_loglik_vector(y: np.ndarray, X: np.ndarray, theta: np.ndarray, N: int, slopes=False):
     """log P per observation; slopes adds d log P / d (psi, eta, nu), (n, 3)."""
     p, H, c_circ = link_fb(X, theta)
-    if slopes:
-        rows, drows = frbinom._pmf_rows(N, p, H, c_circ, tangents=True)
-    else:
-        rows = frbinom.pmf_batch(N, p, H, c_circ)
     obs = np.arange(y.shape[0])
-    probs = rows[obs, y]
-    if slopes:
-        dlog = drows[:, obs, y] / np.where(probs > 0.0, probs, 1.0)
-    # pmf_batch's error is absolute, so tiny entries carry little relative
-    # precision; recompute those observations' rows exactly (cached)
-    for i in np.nonzero(probs < 1e-8)[0]:
-        linked = (p[i], H[i], c_circ[i])
-        probs[i] = frbinom.pmf_row_exact(N, *linked)[y[i]]
-        if slopes:
-            # on the floor log P is flat
-            dlog[:, i] = _tail_dlog(N, y[i], linked) if probs[i] >= _PROB_FLOOR else 0.0
-    ll = np.log(np.maximum(probs, _PROB_FLOOR))
     if not slopes:
-        return ll
-    return ll, dlog.T * np.column_stack([_link_slope(v) for v in (p, H, c_circ)])
+        return np.log(np.maximum(frbinom.pmf_batch(N, p, H, c_circ)[obs, y], _PROB_FLOOR))
+    rows, drows = frbinom._pmf_rows(N, p, H, c_circ, tangents=True)
+    probs = np.maximum(rows[obs, y], _PROB_FLOOR)
+    # on the floor log P is flat
+    dlog = np.where(rows[obs, y] >= _PROB_FLOOR, drows[:, obs, y] / probs, 0.0)
+    return np.log(probs), dlog.T * np.column_stack([_link_slope(v) for v in (p, H, c_circ)])
 
 
 def fb_logpmf(y, x, theta, N: int) -> float:
@@ -350,10 +324,10 @@ def loglik_and_score(
 ) -> tuple[float, np.ndarray]:
     """total_loglik, bit for bit, and its gradient in theta from one pass.
 
-    fb chains forward-mode tangents of the pgf recursion through c_max and
-    the logistic links (central differences of the exact row on the tail
-    route); zip, zinb and zinb2 use closed forms.  Where a clip holds a
-    predictor (at +-700) or a linked value (at LINK_EPS) flat, the score is 0.
+    fb chains the tangents of the renewal recursion (``frbinom.pmf_batch``)
+    through c_max and the logistic links; zip, zinb and zinb2 use closed
+    forms.  Where a clip holds a predictor (at +-700) or a linked value (at
+    LINK_EPS) flat, the score is 0.
     """
     ll, slopes = _cell_loglik(model, theta, dataset, N, slopes=True)
     cells = dataset.cells

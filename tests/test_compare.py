@@ -15,9 +15,9 @@ from fbreg.compare import (
     vuong_test,
 )
 from fbreg.data import Dataset
-from fbreg.fitting import FitConfig, fit
+from fbreg.fitting import FitConfig, FitResult, fit
 from fbreg.frbinom import pmf_batch
-from fbreg.likelihood import link_fb
+from fbreg.likelihood import CoefVector, coef_dim, link_fb, zinb2_logpmf, zinb_logpmf, zip_logpmf
 
 
 def make_dataset(y, X, names=("intercept", "x"), N=None):
@@ -191,6 +191,30 @@ class TestProfileDistribution:
         pi = 1.0 / (1.0 + np.exp(-(ds.X @ gamma)))
         expected = float(np.mean(pi + (1 - pi) * np.exp(-mu)))
         assert prof["fitted"][0] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("model", ["fb", "zip", "zinb", "zinb2"])
+    def test_cells_give_the_row_wise_mean(self, model):
+        # 8 distinct design rows repeated over 90 shuffled observations
+        rng = np.random.default_rng(8)
+        levels = np.column_stack(
+            [np.ones(8), np.repeat([0.0, 1.0], 4), np.tile([0.5, 1.0, 2.0, 4.0], 2)]
+        )
+        X = levels[rng.integers(0, 8, 90)]
+        y = rng.integers(0, 7, 90).astype(float)
+        ds = Dataset(y=y, X=X, column_names=("intercept", "a", "b"), N=6, has_intercept=True)
+        theta = rng.uniform(-0.6, 0.6, coef_dim(model, 3))
+        result = FitResult(
+            model=model, coefficients=CoefVector(model, theta, 3), loglik=0.0, converged=True,
+            n=ds.n, N=6, n_evaluations=0, column_names=ds.column_names, has_intercept=True,
+            dataset_digest=ds.digest(), config=FitConfig(),
+        )
+        prof = profile_distribution(result, ds)
+        if model == "fb":
+            ref = pmf_batch(6, *link_fb(X, theta)).mean(axis=0)
+        else:
+            logpmf = {"zip": zip_logpmf, "zinb": zinb_logpmf, "zinb2": zinb2_logpmf}[model]
+            ref = [np.exp(logpmf(np.full(ds.n, k), X, theta)).mean() for k in range(7)]
+        np.testing.assert_allclose(prof["fitted"], ref, rtol=0, atol=1e-15)
 
 
 class TestComparisonReport:

@@ -174,6 +174,7 @@ class TestFitZip:
         starts = res.diagnostics["starts"]
         assert [r["start"] for r in starts] == [0, 1, 2]
         assert all(r["evaluations"] > 0 for r in starts)
+        assert all(1 <= r["iterations"] <= r["evaluations"] for r in starts)
         assert all(isinstance(r["message"], str) and r["message"] for r in starts)
         # beyond the starts, only the 2d score differences of the observed
         # information evaluate the likelihood

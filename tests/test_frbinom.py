@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 from scipy.stats import binom
 
 from fbreg.frbinom import (
@@ -22,7 +23,6 @@ from fbreg.frbinom import (
     pmf,
     pmf_batch,
     pmf_bruteforce,
-    pmf_row_exact,
     sample,
     to_constrained,
     variance_asymptotic,
@@ -359,7 +359,7 @@ class TestBatchLane:
         cc = rng.uniform(0.0, 0.99, 50)
         rows = pmf_batch(10, p, H, cc)
         for i in range(50):
-            ref = pmf_row_exact(10, p[i], H[i], cc[i])
+            ref = pmf(10, natural(p[i], H[i], cc[i])).probs
             np.testing.assert_allclose(rows[i], ref, atol=1e-13)
 
     # the oracle's own error doubles with each level of its superset
@@ -372,11 +372,22 @@ class TestBatchLane:
             rows[0], pmf_bruteforce(N, natural(p, H, cc)).probs, rtol=0, atol=1e-13
         )
 
-    @given(p=unit_wide, H=unit_wide, cc=cc_interior, N=st.integers(1, 100))
+    @given(logits=st.lists(st.floats(-12.0, 12.0), min_size=3, max_size=3), N=st.integers(1, 100))
     @settings(max_examples=40, deadline=None)
-    def test_matches_exact_route(self, p, H, cc, N):
-        rows = pmf_batch(N, [p], [H], [cc])
-        np.testing.assert_allclose(rows[0], pmf(N, natural(p, H, cc)).probs, rtol=0, atol=1e-13)
+    def test_matches_exact_route(self, logits, N):
+        p, H, cc = expit(logits)
+        row = pmf_batch(N, [p], [H], [cc])[0]
+        ref = pmf(N, natural(p, H, cc)).probs
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-13)
+        # the tail keeps relative precision
+        tail = (ref > 1e-300) & (ref < 1e-8)
+        np.testing.assert_allclose(row[tail], ref[tail], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("N, p, H, cc", [(60, 0.999, 0.05, 0.9), (10, 0.02, 0.998, 0.002)])
+    def test_hard_rows_to_relative_precision(self, N, p, H, cc):
+        # p near 1 with weak long-range dependence, and the mirror corner
+        row = pmf_batch(N, [p], [H], [cc])[0]
+        np.testing.assert_allclose(row, pmf(N, natural(p, H, cc)).probs, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("cc", [0.0, 0.5, 0.99])
     def test_study_row_at_n24(self, cc):
@@ -437,6 +448,19 @@ class TestTangentLane:
             up = pmf_batch(N, *(np.array([p, H, cc]) + step))
             down = pmf_batch(N, *(np.array([p, H, cc]) - step))
             np.testing.assert_allclose(drows[k], (up - down) / (2 * h), rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("N, p, H, cc", [(60, 0.999, 0.05, 0.9), (30, 1e-4, 0.3, 0.5)])
+    def test_log_tangents_keep_relative_precision(self, N, p, H, cc):
+        # d log P against central differences of log pmf, down to entries of 1e-25
+        base = np.array([p, H, cc])
+        rows, drows = _pmf_rows(N, *base[:, None], tangents=True)
+        for k in range(3):
+            h = np.zeros(3)
+            h[k] = 1e-4 * min(base[k], 1.0 - base[k])
+            up, down = (np.log(pmf(N, natural(*(base + s * h))).probs) for s in (1, -1))
+            ref = (up - down) / (2.0 * h[k])
+            err = np.abs(drows[k, 0] / rows[0] - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() < 1e-6
 
     def test_root_branch_of_c_max_binds_on_the_open_square(self):
         # the tangent lane differentiates only the root branch of the min

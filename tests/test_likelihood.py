@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from fbreg.data import Dataset
@@ -11,9 +11,9 @@ from fbreg.frbinom import (
     LINK_EPS,
     FbParams,
     FbParamsNatural,
+    pmf,
     pmf_batch,
     pmf_bruteforce,
-    pmf_row_exact,
     to_constrained,
 )
 from fbreg.likelihood import (
@@ -313,11 +313,15 @@ def assert_score_matches_differences(model, theta, ds):
     return score
 
 
+def exact_row(N, p, H, cc):
+    return pmf(N, to_constrained(FbParamsNatural(p=p, H=H, c_circ=cc))).probs
+
+
 def fb_exact_loglik(theta, ds):
-    """fb log-likelihood with every observation on the exact route."""
+    """fb log-likelihood with every observation on the arbitrary-precision pmf."""
     p, H, cc = link_fb(ds.X, theta)
     return sum(
-        math.log(max(pmf_row_exact(ds.N, p[i], H[i], cc[i])[ds.y[i]], 1e-300))
+        math.log(max(exact_row(ds.N, p[i], H[i], cc[i])[ds.y[i]], 1e-300))
         for i in range(ds.n)
     )
 
@@ -330,14 +334,6 @@ class TestLoglikAndScore:
         ds = score_design()
         d = coef_dim(model, 3)
         theta = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
-        if model == "fb":
-            # pmf_batch's error is absolute (about 1e-16 at N = 6), so between
-            # the exact-route switch at 1e-8 and 1e-5 an observation's value
-            # is only 1e-8 to 1e-11 relative, which a difference step of 1e-5
-            # turns into noise of up to 1e-3; the next test covers those draws
-            p, H, cc = link_fb(ds.X, theta)
-            probs = pmf_batch(ds.N, p, H, cc)[np.arange(ds.n), ds.y]
-            assume(not np.any((probs > 0.99e-8) & (probs < 1e-5)))
         assert_score_matches_differences(model, theta, ds)
 
     @given(theta=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
@@ -350,8 +346,8 @@ class TestLoglikAndScore:
         assert np.max(np.abs(score - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
     def test_fb_tail_rows(self):
-        # y = N at p near 0.02 and c_circ near 3e-4: pmf_batch puts those
-        # observations below 1e-8, so value and score take the exact route
+        # y = N at p near 0.02 and c_circ near 3e-4 puts those observations
+        # below 1e-8, where value and score must keep relative precision
         base = score_design()
         y = np.where(np.arange(base.n) % 3 == 0, base.N, np.arange(base.n) % 2)
         ds = make_dataset(y, base.X, N=base.N, has_intercept=True)
@@ -367,7 +363,7 @@ class TestLoglikAndScore:
         ds = make_dataset([30, 2, 0], X, N=30, has_intercept=True)
         theta = np.array([-25.0, 24.0, 0.0, 0.3, -25.0, 24.5])
         p, H, cc = link_fb(X, theta)
-        assert LINK_EPS < p[0] and pmf_row_exact(30, p[0], H[0], cc[0])[30] < 1e-300
+        assert LINK_EPS < p[0] and exact_row(30, p[0], H[0], cc[0])[30] < 1e-300
         score = assert_score_matches_differences("fb", theta, ds)
         # row 0 contributes nothing to the score
         rest = make_dataset([2, 0], X[1:], N=30, has_intercept=True)

@@ -61,6 +61,15 @@ class TestFitResultSchema:
         del doc["diagnostics"]["likelihood_cells"]
         jsonschema.validate(doc, schema)
 
+    def test_start_iterations_recorded_and_optional(self, fitted):
+        _, res_zip, _ = fitted
+        schema = load_schema("fit_result.schema.json")
+        doc = round_trip(res_zip.to_json_dict())
+        assert all(isinstance(r["iterations"], int) for r in doc["diagnostics"]["starts"])
+        for r in doc["diagnostics"]["starts"]:
+            del r["iterations"]
+        jsonschema.validate(doc, schema)
+
     def test_missing_required_key_fails(self, fitted):
         _, res_zip, _ = fitted
         schema = load_schema("fit_result.schema.json")
